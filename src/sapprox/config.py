@@ -231,6 +231,9 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
         issues.append(
             ConfigIssue("seed", "a 64-bit integer seed is required (no clock seeding)")
         )
+    elif not 0 <= seed < 1 << 64:
+        # the noise hash reads the seed mod 2^64: larger seeds would alias
+        issues.append(ConfigIssue("seed", f"must lie in [0, 2^64), got {seed}"))
 
     drift = _build_drift(raw, issues)
     noise = _build_noise(raw, issues)

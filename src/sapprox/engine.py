@@ -19,12 +19,16 @@ separates the two draw kinds:
 
 The scalar ReplicaStream and the vectorized batch runner evaluate the same
 functions, so a batch row equals the corresponding single-replica run.
+count_tail_hits sums linear-drift Rademacher paths in closed form instead
+(_LinearRademacherTail), with the hit counts of the sequential recurrence.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,6 +40,7 @@ from sapprox.model import (
     eval_g,
     sample_noise,
 )
+from sapprox.weights import recursion_weights
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -260,15 +265,7 @@ def taylor_decompose(traj: Trajectory) -> Decomposition:
         raise ValueError("taylor_decompose needs a fully recorded trajectory")
     spec = traj.spec
     drift = spec.drift
-    n = traj.horizon
-    c = spec.c
-    j = np.arange(n + 1, dtype=np.float64)
-    f = 1.0 + c / (j + 1.0)
-    suffix = np.ones(n + 1)
-    if n >= 1:
-        suffix[:n] = np.cumprod(f[:0:-1])[::-1]
-    beta0 = f[0] * suffix[0]
-    coef = spec.b * suffix / (j + 1.0)
+    beta0, coef = recursion_weights(spec, traj.horizon)
     dev = traj.xs[:-1] - drift.x_star
     g_vals = eval_g(drift, traj.xs[:-1])
     remainder = g_vals - drift.gprime_star * dev
@@ -324,15 +321,19 @@ def _rademacher_u(zbuf, bitbuf, r, sigma, ubuf):
     return ubuf
 
 
+def _check_target(spec: ProblemSpec, target: str) -> None:
+    if target not in ("recursion", "weighted_sum"):
+        raise ValueError(f"unknown target {target!r}")
+    if target == "weighted_sum":
+        spec.require_mdp_regime()
+
+
 class _BlockRunner:
     """Simulates one block of replicas [lo, hi) step-synchronously."""
 
     def __init__(self, spec: ProblemSpec, target: str, n: int, seed: int,
                  lo: int, hi: int):
-        if target not in ("recursion", "weighted_sum"):
-            raise ValueError(f"unknown target {target!r}")
-        if target == "weighted_sum":
-            spec.require_mdp_regime()
+        _check_target(spec, target)
         self.spec = spec
         self.target = target
         self.n = n
@@ -417,9 +418,18 @@ class _BlockRunner:
             np.negative(dev, out=dev)
 
 
-def _block_ranges(replicas: int):
-    for lo in range(0, replicas, BLOCK):
-        yield lo, min(lo + BLOCK, replicas)
+def _map_blocks(one, replicas: int, workers: int) -> list:
+    """one((lo, hi)) for each replica block in order, on up to `workers`
+    threads."""
+    ranges = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
+    if workers > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(one, ranges))
+    return [one(r) for r in ranges]
+
+
+def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
+    return int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
 
 
 def batch_final_deviations(
@@ -442,13 +452,113 @@ def batch_final_deviations(
         lo, hi = rng
         return _BlockRunner(spec, target, n, seed, lo, hi).run()[0]
 
-    ranges = list(_block_ranges(replicas))
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one, ranges))
-    else:
-        parts = [one(r) for r in ranges]
-    return np.concatenate(parts)
+    return np.concatenate(_map_blocks(one, replicas, workers))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form tail counting (linear drift, Rademacher noise)
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = 2.0**-53
+# Rounding allowance per step in unit roundoffs.  One step of the sequential
+# recurrence and one factor of the closed-form weights each round fewer than
+# ten times.
+_GUARD_ULPS = 16.0
+
+# _BYTE_SIGNS[r, v] is +1 when bit r of byte v is set, else -1.
+_BYTE_SIGNS = 2.0 * ((np.arange(256) >> np.arange(8)[:, None]) & 1) - 1.0
+# Column of a uint64's uint8 view holding its bits 8m..8m+7, for m = 0..7.
+_BYTE_COLUMNS = tuple(range(8)) if sys.byteorder == "little" else tuple(range(7, -1, -1))
+
+
+class _LinearRademacherTail:
+    """Tail counts for linear drift under Rademacher noise, in closed form.
+
+    With g(x) = alpha1 (x - x*) the final deviation is exactly
+    beta(c, 0, n) d0 + sigma sum_k w_k s_k (weights.recursion_weights),
+    where s_k = +-1 is the step-k sign and d0 = x0 - x* for the recursion
+    target, 0 for weighted_sum.  Bits 8m..8m+7 of the 64-step hash word j
+    are the signs of steps 64j+8m..64j+8m+7, so word j adds
+    T_j[m, byte_m] for m < 8, with the 8x256 table
+    T_j[m, v] = sigma sum_r w_{64j+8m+r} (+-1 by bit r of v).
+
+    The result is not bitwise equal to the sequential recurrence, so
+    `guard` bounds |closed form - recurrence| for every replica: it is
+    twice the sum of two bounds on the distance to the exact value.  The
+    first is the forward error recurrence
+    E_{k+1} = |f_k| E_k + ulps (|x*| + B_{k+1} + (1 + |c|/(k+1)) B_k + b sigma/(k+1)),
+    f_k = 1 + c/(k+1), with B the pathwise envelope of |d_k| (the partial
+    sum bound for weighted_sum); it covers the rounding of the recurrence
+    and of the weights.  The second is the rounding of the table entries
+    and their running sum.  A replica whose |deviation| lies within guard
+    of the threshold is recomputed by the scalar reference, which equals
+    the batch row bitwise, so hit counts equal the recurrence's exactly.
+    """
+
+    def __init__(self, spec: ProblemSpec, target: str, n: int):
+        _check_target(spec, target)
+        self.spec = spec
+        self.target = target
+        self.n = n
+        beta0, w = recursion_weights(spec, n)
+        sigma = spec.noise.sigma
+        self.words = n // 64 + 1
+        padded = np.zeros(64 * self.words)
+        padded[: n + 1] = sigma * w
+        self._word_weights = padded.reshape(self.words, 8, 8)
+        if target == "recursion":
+            self.start = beta0 * (spec.x0 - spec.drift.x_star)
+            env, _ = envelope_bound(spec, n)
+            x_star = abs(spec.drift.x_star)
+        else:
+            self.start = 0.0
+            env, _ = envelope_bound(replace(spec, x0=spec.drift.x_star), n)
+            x_star = 0.0
+        j = np.arange(n + 1, dtype=np.float64)
+        spread = 1.0 + abs(spec.c) / (j + 1.0)
+        tol = _GUARD_ULPS * _UNIT_ROUNDOFF
+        local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * sigma / (j + 1.0))
+        # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
+        growth = np.abs(1.0 + spec.c / (j + 1.0)) + tol * spread
+        carry = np.ones(n + 1)
+        carry[:n] = np.cumprod(growth[:0:-1])[::-1]
+        recurrence = float(carry @ local)
+        # the start plus 8 entries per word are summed, each entry a sum of 8
+        terms = 8 * self.words + 9
+        summation = terms * _UNIT_ROUNDOFF * (
+            abs(self.start) + float(np.sum(np.abs(padded)))
+        )
+        self.guard = 2.0 * (recurrence + summation)
+
+    def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
+        """Closed-form final deviations of replicas [lo, hi)."""
+        w = hi - lo
+        keys = replica_keys_array(seed, lo, hi)
+        zbuf = np.empty(w, dtype=np.uint64)
+        byte_rows = zbuf.view(np.uint8).reshape(w, 8)
+        part = np.empty(w)
+        dev = np.full(w, self.start)
+        for j in range(self.words):
+            table = self._word_weights[j] @ _BYTE_SIGNS
+            np.bitwise_xor(keys, np.uint64(_step_key(_D_SIGN, j)), out=zbuf)
+            _mix64_array(zbuf)
+            for m, col in enumerate(_BYTE_COLUMNS):
+                # a byte never exceeds 255, so "clip" only skips the bounds check
+                np.take(table[m], byte_rows[:, col], out=part, mode="clip")
+                dev += part
+        return dev
+
+    def hits(self, seed: int, lo: int, hi: int, threshold: float,
+             inclusive: bool) -> int:
+        mags = np.abs(self.deviations(seed, lo, hi))
+        for i in np.flatnonzero(np.abs(mags - threshold) <= self.guard):
+            mags[i] = abs(self._reference(seed, lo + int(i)))
+        return _count_beyond(mags, threshold, inclusive)
+
+    def _reference(self, seed: int, replica: int) -> float:
+        if self.target == "recursion":
+            return simulate(self.spec, self.n, seed, record=False, replica=replica)
+        return weighted_sum(self.spec, self.n, seed, replica=replica)
 
 
 def count_tail_hits(
@@ -468,26 +578,31 @@ def count_tail_hits(
     |X_k - x*| <= B_k is also checked at every step of every path and the
     number of violating (path, step) pairs is returned.  Hit counts are
     exact integers accumulated in replica-block order, so the result does
-    not depend on worker count.
+    not depend on worker count.  Without an envelope, linear drift with
+    Rademacher noise is counted in closed form (_LinearRademacherTail) with
+    the same hits as the sequential recurrence.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    closed_form = None
+    if (envelope is None and isinstance(spec.drift, LinearDrift)
+            and isinstance(spec.noise, Rademacher)):
+        closed_form = _LinearRademacherTail(spec, target, n)
+        if not math.isfinite(closed_form.guard):
+            closed_form = None  # overflowing weights: only the recurrence is usable
 
     def one(rng: tuple[int, int]) -> tuple[int, int]:
         lo, hi = rng
+        if closed_form is not None:
+            return closed_form.hits(seed, lo, hi, threshold, inclusive), 0
         devs, violations = _BlockRunner(spec, target, n, seed, lo, hi).run(
             envelope=envelope
         )
-        mags = np.abs(devs)
-        hits = int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
-        return hits, violations
+        return _count_beyond(np.abs(devs), threshold, inclusive), violations
 
-    ranges = list(_block_ranges(replicas))
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one, ranges))
-    else:
-        parts = [one(r) for r in ranges]
+    parts = _map_blocks(one, replicas, workers)
     hits = sum(p[0] for p in parts)
     violations = sum(p[1] for p in parts)
     return BatchResult(hits=hits, replicas=replicas, envelope_violations=violations)

@@ -84,11 +84,7 @@ def _check_azuma_enumeration() -> Optional[str]:
     weight_sets = [rng.uniform(0.1, 1.0, size=m) for m in (3, 7, 11)]
     spec = ProblemSpec(LinearDrift(-2.0, 0.0), Rademacher(1.0), 1.0, 0.0)
     for n in (6, 10):
-        j = np.arange(n + 1, dtype=np.float64)
-        f = 1.0 + spec.c / (j + 1.0)
-        suffix = np.ones(n + 1)
-        suffix[:n] = np.cumprod(f[:0:-1])[::-1]
-        weight_sets.append(spec.b * suffix / (j + 1.0))
+        weight_sets.append(weights.recursion_weights(spec, n)[1])
     for w in weight_sets:
         total = float(np.sum(np.abs(w)))
         for t in np.linspace(0.0, 1.1 * total, 25):

@@ -5,6 +5,7 @@ x* turns the deviation into sums weighted by products of the contraction
 factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
 
     beta(c, k, n)   = prod_{j=k}^{n} (1 + c/(j+1))        (empty product = 1)
+    recursion_weights(spec, n) = (beta(c, 0, n), b beta(c, k+1, n)/(k+1))
     weight_sum(...) = sum_{k=0}^{n} (k+1)^{-2} beta(c, k+1, n)^2
     h_norm(b, c, n) = (b^2 * weight_sum)^{-1/2}
 
@@ -112,6 +113,23 @@ def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:
     lower = math.exp(-c * c / k_min) * ((n + 1.0) / k) ** c
     upper = (float(n) / (k + 1.0)) ** c
     return lower, upper
+
+
+def recursion_weights(spec, n: int) -> tuple[float, np.ndarray]:
+    """(beta(c, 0, n), w) with w_k = b * beta(c, k+1, n) / (k+1), k = 0..n.
+
+    spec supplies b and c = b g'(x*).  For linear drift the recursion is
+    exactly X_{n+1} - x* = beta(c, 0, n) (x0 - x*) + sum_k w_k U_{k+1}.
+    Evaluated with one backward cumulative product of the float factors
+    1 + c/(j+1), O(n) time and memory.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    j = np.arange(n + 1, dtype=np.float64)
+    f = 1.0 + spec.c / (j + 1.0)
+    suffix = np.ones(n + 1)
+    suffix[:n] = np.cumprod(f[:0:-1])[::-1]
+    return float(f[0] * suffix[0]), spec.b * suffix / (j + 1.0)
 
 
 def weight_sum(b: float, c: float, n: int) -> float:

@@ -56,6 +56,19 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        for seed in (-1, 2**64, 2**70):
+            code = main(["simulate", "--config", str(path), "--set", f"seed={seed}"])
+            assert code == 2, seed
+            assert "seed: must lie in [0, 2^64)" in capsys.readouterr().err
+
+    def test_seed_at_64_bit_ends_accepted(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        for seed in (0, 2**64 - 1):
+            code = main(["simulate", "--config", str(path), "--set", f"seed={seed}"])
+            assert code == 0, seed
+
     def test_empty_n_grid_rejected(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

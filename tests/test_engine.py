@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapprox.engine import (
+    BLOCK,
     ReplicaStream,
+    _LinearRademacherTail,
     batch_final_deviations,
     count_tail_hits,
     envelope_bound,
@@ -223,6 +228,88 @@ class TestBatchEngine:
         assert incl > strict
         assert incl == int(np.count_nonzero(np.abs(devs) >= t))
         assert strict == int(np.count_nonzero(np.abs(devs) > t))
+
+
+class TestClosedFormTail:
+    """Linear drift with Rademacher noise counts tails in closed form; hit
+    counts must equal the count over the sequential batch rows."""
+
+    @staticmethod
+    def reference_hits(devs, t, inclusive):
+        mags = np.abs(devs)
+        return int(np.count_nonzero(mags >= t if inclusive else mags > t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha1=st.floats(-3.0, -0.05),
+        b=st.floats(0.2, 3.0),
+        x_star=st.sampled_from([0.0, 1.5, -40.0]),
+        x0=st.floats(-5.0, 5.0),
+        n=st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 3000)),
+        replicas=st.integers(1, 700),
+        seed=st.integers(0, 2**64 - 1),
+        weighted=st.booleans(),
+        pick=st.integers(0, 10**6),
+        attained=st.booleans(),
+    )
+    def test_hits_match_recurrence(self, alpha1, b, x_star, x0, n, replicas, seed,
+                                   weighted, pick, attained):
+        spec = ProblemSpec(LinearDrift(alpha1, x_star), Rademacher(1.0), b, x0)
+        target = "weighted_sum" if weighted and spec.c < -1.0 else "recursion"
+        devs = batch_final_deviations(spec, target, n, seed, replicas)
+        mags = np.abs(devs)
+        if attained:
+            t = float(mags[pick % replicas])
+        else:
+            t = float(np.quantile(mags, (pick % 1000) / 1000.0))
+        for inclusive in (False, True):
+            got = count_tail_hits(spec, target, n, seed, replicas, t,
+                                  inclusive=inclusive).hits
+            assert got == self.reference_hits(devs, t, inclusive)
+
+    def test_hits_match_across_blocks_and_workers(self):
+        spec = linear_spec(alpha1=-1.3, x_star=0.25)
+        replicas = BLOCK + 17
+        for target in ("recursion", "weighted_sum"):
+            devs = batch_final_deviations(spec, target, 150, 61, replicas)
+            t = float(np.abs(devs)[BLOCK + 3])
+            want = self.reference_hits(devs, t, False)
+            for workers in (1, 2):
+                res = count_tail_hits(spec, target, 150, 61, replicas, t,
+                                      workers=workers)
+                assert res.hits == want
+
+    def test_error_well_inside_guard(self):
+        worst = 0.0
+        grid = itertools.product(
+            (-0.3, -1.0, -2.5), (0.5, 2.0, 3.0), (0.0, 7.5), (0, 64, 1000),
+            ("recursion", "weighted_sum"),
+        )
+        for alpha1, b, x_star, n, target in grid:
+            spec = ProblemSpec(
+                LinearDrift(alpha1, x_star), Rademacher(0.7), b, x_star + 1.2
+            )
+            if target == "weighted_sum" and not spec.c < -1.0:
+                continue
+            kernel = _LinearRademacherTail(spec, target, n)
+            fast = kernel.deviations(5, 0, 200)
+            ref = batch_final_deviations(spec, target, n, 5, 200)
+            err = float(np.max(np.abs(fast - ref)))
+            assert err <= kernel.guard / 10, (spec, target, n)
+            worst = max(worst, err / kernel.guard)
+        assert worst > 0.0  # the rows differ, so the guard is exercised
+
+    def test_rejects_negative_horizon(self):
+        for spec in (linear_spec(), sine_spec()):
+            with pytest.raises(ValueError):
+                count_tail_hits(spec, "recursion", -1, 0, 10, 1.0)
+
+    def test_envelope_calls_still_report_violations(self):
+        spec = linear_spec()
+        res = count_tail_hits(spec, "recursion", 100, 3, 500, 0.2,
+                              envelope=np.zeros(102))
+        assert res.envelope_violations > 0
+        assert res.hits == count_tail_hits(spec, "recursion", 100, 3, 500, 0.2).hits
 
 
 class TestTaylorDecompose:

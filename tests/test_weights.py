@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import (
     SignedLogValue,
     beta,
@@ -10,6 +11,7 @@ from sapprox.weights import (
     beta_value,
     h_asymptotic,
     h_norm,
+    recursion_weights,
     weight_sum,
 )
 
@@ -196,6 +198,22 @@ class TestWeightSum:
             weight_sum(1.0, 0.0, 1)
         with pytest.raises(ValueError):
             weight_sum(1.0, -2.0, -1)
+
+
+class TestRecursionWeights:
+    def test_match_direct_products(self):
+        # c = -2.6: the first factors are negative and exceed 1 in magnitude
+        spec = ProblemSpec(LinearDrift(-1.3, 0.0), Rademacher(1.0), 2.0, 0.0)
+        for n in (0, 1, 5, 40):
+            beta0, w = recursion_weights(spec, n)
+            assert beta0 == pytest.approx(beta_direct(spec.c, 0, n), rel=1e-13)
+            want = [spec.b * beta_direct(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
+            np.testing.assert_allclose(w, want, rtol=1e-13)
+
+    def test_rejects_negative_horizon(self):
+        spec = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 0.0)
+        with pytest.raises(ValueError):
+            recursion_weights(spec, -1)
 
 
 class TestHNorm:
