@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -69,6 +71,26 @@ def _json_safe(v):
     return v
 
 
+def _write_atomic(path: Path, write) -> None:
+    """write(fh) into a temporary file beside path, then rename it over path,
+    so a failed write leaves any earlier file intact and nothing truncated."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            write(fh)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_table(path: Path, fmt: str, command: str, columns: list[str],
                  rows: list[dict], extra: Optional[dict] = None) -> None:
     if fmt == "json":
@@ -86,7 +108,7 @@ def _write_table(path: Path, fmt: str, command: str, columns: list[str],
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         payload = "\n".join(lines) + "\n"
-    path.write_text(payload)
+    _write_atomic(path, lambda fh: fh.write(payload))
 
 
 def _resolve_output(cfg: ExperimentConfig, args) -> tuple[Optional[Path], str]:
@@ -110,8 +132,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
             ]
             _write_table(out, fmt, "simulate", ["k", "x_k", "u_k"], rows)
         else:
-            with open(out, "w") as fh:
-                traj.write_csv(fh)
+            _write_atomic(out, traj.write_csv)
         final_dev = traj.final_deviation
     else:
         final_dev = simulate(cfg.spec, n, cfg.seed, record=False)

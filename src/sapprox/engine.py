@@ -429,6 +429,14 @@ def _map_blocks(one, replicas: int, workers: int) -> list:
 
 
 def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
+    # a NaN compares false and an inf beyond any threshold: either would
+    # turn an overflowed recursion into a silent miss or hit
+    bad = np.count_nonzero(~np.isfinite(mags))
+    if bad:
+        raise FloatingPointError(
+            f"{bad} of {mags.size} final deviations are not finite "
+            "(the recursion overflowed float64)"
+        )
     return int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
 
 
@@ -580,7 +588,8 @@ def count_tail_hits(
     exact integers accumulated in replica-block order, so the result does
     not depend on worker count.  Without an envelope, linear drift with
     Rademacher noise is counted in closed form (_LinearRademacherTail) with
-    the same hits as the sequential recurrence.
+    the same hits as the sequential recurrence.  Raises FloatingPointError
+    if any final deviation is NaN or infinite.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -611,7 +620,8 @@ def count_tail_hits(
 def weighted_sums_over_signs(
     spec: ProblemSpec, n: int, signs: np.ndarray
 ) -> np.ndarray:
-    """Weighted-sum statistic for explicit sign patterns (enumeration support).
+    """Weighted-sum statistic for explicit sign patterns: the per-pattern
+    reference that the enumeration oracles in mdp match bitwise.
 
     signs has shape (m, n+1) with entries +-1; returns the m statistics for
     Rademacher noise U_{k+1} = sigma * signs[:, k], evaluated by the same

@@ -1,6 +1,10 @@
 """Moderate-deviation experiments: Monte Carlo tail estimation at speed
 b_n^2, exact small-horizon enumeration oracles, the exact Gaussian
 reference tail, and rate curves approaching -r^2 / (2 sigma^2).
+
+Both enumeration oracles run one doubling kernel (_sign_pattern_sums) over
+the recurrence s_{k+1} = f_k s_k + xi_k a_k: 2^(m-1) values and 8 * 2^(m-1)
+bytes for m sign terms.
 """
 
 from __future__ import annotations
@@ -13,12 +17,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import stats
 
-from sapprox.engine import count_tail_hits, weighted_sums_over_signs
+from sapprox.engine import count_tail_hits
 from sapprox.model import ProblemSpec, Rademacher
 from sapprox.weights import h_norm
 
 ENUMERATION_MAX_N = 22
-_ENUM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -156,39 +159,73 @@ def estimate_tail(
     )
 
 
-def _sign_matrix(lo: int, hi: int, n_terms: int) -> np.ndarray:
-    """Rows lo..hi-1 of the full +-1 pattern table with n_terms columns."""
-    idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    bits = (idx >> np.arange(n_terms, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return 2.0 * bits.astype(np.float64) - 1.0
+def _sign_pattern_sums(factors: Sequence[float], steps: Sequence[float]) -> np.ndarray:
+    """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0, for each of the 2^(m-1)
+    sign patterns xi in {-1, +1}^m with xi_0 = +1 (m = len(steps) >= 1).
+
+    The patterns with xi_0 = -1 give exactly the negated sums, because
+    round-to-nearest is symmetric in sign, so this half fixes every |s_m|.
+    Level k+1 is built in place by doubling: the first `size` entries
+    become f_k s + a_k and the next `size` become f_k s - a_k.  Each value
+    takes the same two roundings per step as the pattern evaluated on its
+    own, so results are bitwise those of the per-pattern recurrence.
+    """
+    m = len(steps)
+    s = np.empty(1 << (m - 1))
+    s[0] = steps[0]  # f_0 * 0 + a_0
+    size = 1
+    for k in range(1, m):
+        lo, hi = s[:size], s[size:2 * size]
+        np.multiply(lo, factors[k], out=hi)
+        hi -= steps[k]
+        lo *= factors[k]
+        lo += steps[k]
+        size *= 2
+    return s
+
+
+def _pattern_tail(factors: Sequence[float], steps: Sequence[float], threshold: float) -> Fraction:
+    """Exact fraction of the 2^m sign patterns with |s_m| > threshold."""
+    m = len(steps)
+    if m == 0:
+        return Fraction(int(0.0 > threshold))  # the one empty sum
+    s = _sign_pattern_sums(factors, steps)
+    hits = np.count_nonzero(np.abs(s, out=s) > threshold)
+    return Fraction(2 * int(hits), 1 << m)
+
+
+def _recurrence_coefficients(spec: ProblemSpec, n: int) -> tuple[list[float], list[float]]:
+    """(f_k, a_k) for k = 0..n of the weighted-sum recurrence under Rademacher
+    noise: f_k = 1 + c/(k+1) and a_k = (b/(k+1)) sigma, the same floats that
+    engine.weighted_sums_over_signs multiplies by."""
+    c, b, sigma = spec.c, spec.b, spec.noise.sigma
+    factors = [1.0 + c / (k + 1.0) for k in range(n + 1)]
+    steps = [b / (k + 1.0) * sigma for k in range(n + 1)]
+    return factors, steps
 
 
 def enumerate_signed_sum_tail(weights: Sequence[float], threshold: float) -> Fraction:
     """Exact P(|sum_k w_k xi_k| > t) for independent fair signs xi_k.
 
-    Enumerates all 2^m sign patterns; the count over 2^m is returned as an
-    exact dyadic fraction.
+    Enumerates all 2^m sign patterns, each summed left to right in float64
+    (the doubling kernel with f_k = 1 and a_k = w_k); the count over 2^m is
+    returned as an exact dyadic fraction.
     """
     w = np.asarray(weights, dtype=np.float64)
-    m = len(w)
-    if m > ENUMERATION_MAX_N + 1:
-        raise ValueError(f"too many terms for enumeration: {m}")
-    total = 1 << m
-    hits = 0
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        s = _sign_matrix(lo, hi, m) @ w
-        hits += int(np.count_nonzero(np.abs(s) > threshold))
-    return Fraction(hits, total)
+    if len(w) > ENUMERATION_MAX_N + 1:
+        raise ValueError(f"too many terms for enumeration: {len(w)}")
+    return _pattern_tail(np.ones(len(w)), w, threshold)
 
 
 def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fraction:
     """Exact P(|weighted sum| > threshold) for Rademacher noise by full
     enumeration of the 2^(n+1) sign patterns.
 
-    The statistic for each pattern is evaluated by the same forward
-    recurrence as the Monte Carlo path, so enumeration and estimate agree
-    at float level, not just in distribution.  Requires n <= 22.
+    Every pattern's statistic is bitwise the value of the forward recurrence
+    that the Monte Carlo path and engine.weighted_sums_over_signs evaluate,
+    so enumeration and estimate agree at float level, not just in
+    distribution.  Costs 2^n float64 values (8 * 2^n bytes) and O(2^n)
+    flops.  Requires n <= 22.
     """
     if not isinstance(spec.noise, Rademacher):
         raise ValueError("enumeration oracle requires Rademacher noise")
@@ -197,14 +234,7 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     spec.require_mdp_regime()
-    total = 1 << (n + 1)
-    hits = 0
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        signs = _sign_matrix(lo, hi, n + 1)
-        s = weighted_sums_over_signs(spec, n, signs)
-        hits += int(np.count_nonzero(np.abs(s) > threshold))
-    return Fraction(hits, total)
+    return _pattern_tail(*_recurrence_coefficients(spec, n), threshold)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ def _check_decomposition() -> Optional[str]:
 def _check_second_moment() -> Optional[str]:
     spec = ProblemSpec(LinearDrift(-2.0, 0.0), Rademacher(1.0), 1.0, 0.0)
     for n in range(0, 11):
-        signs = mdp._sign_matrix(0, 1 << (n + 1), n + 1)
-        s = engine.weighted_sums_over_signs(spec, n, signs)
+        # half the patterns; the other half are their exact negations
+        s = mdp._sign_pattern_sums(*mdp._recurrence_coefficients(spec, n))
         h = weights.h_norm(spec.b, spec.c, n)
         m2 = float(np.mean((h * s) ** 2))
         if abs(m2 - 1.0) > 1e-12:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import stat
+
+import pytest
 
 from sapprox import selftest as selftest_mod
 from sapprox import weights
@@ -179,6 +183,73 @@ class TestSimulateCommand:
                       "output": str(tmp_path / "no_dir" / "t.csv")},
         )
         assert main(["simulate", "--config", str(path)]) == 1
+
+
+class TestAtomicOutput:
+    class HalfWriter:
+        """Writes half of the first chunk it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    @pytest.mark.parametrize("command, name, fmt", [
+        ("simulate", "traj.csv", "csv"),
+        ("simulate", "traj.csv", "json"),
+        ("rate", "rate.csv", "csv"),
+    ])
+    def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch, command,
+                                           name, fmt):
+        import sapprox.cli as cli_mod
+
+        path, _ = write_config(tmp_path)
+        args = [command, "--config", str(path), "--format", fmt]
+        assert main(args) == 0
+        before = (tmp_path / name).read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(cli_mod.os, "fdopen",
+                            lambda fd, mode: self.HalfWriter(real_fdopen(fd, mode)))
+        assert main(args) == 1
+        assert (tmp_path / name).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        assert main(["rate", "--config", str(path)]) == 0
+        probe = tmp_path / "probe"
+        probe.write_text("")
+        mode = stat.S_IMODE(os.stat(tmp_path / "rate.csv").st_mode)
+        assert mode == stat.S_IMODE(os.stat(probe).st_mode)
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("target", ["recursion", "weighted_sum"])
+    def test_overflowed_rate_exits_1(self, tmp_path, capsys, target):
+        # c = -2000.6: intermediate states pass 2^1023 and overflow, while
+        # the weights of n = 10000 have decayed back to finite values
+        path, _ = write_config(
+            tmp_path,
+            drift={"kind": "linear", "parameters": {"alpha1": -1000.3},
+                   "x_star": 0.0},
+            rate={"target": target, "gamma": 3.0, "r": 1.0, "n_grid": [10000],
+                  "replicas": 100, "output": str(tmp_path / "rate.csv")},
+        )
+        assert main(["rate", "--config", str(path)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "rate.csv").exists()
 
 
 class TestBoundCommand:

@@ -312,6 +312,16 @@ class TestClosedFormTail:
         assert res.hits == count_tail_hits(spec, "recursion", 100, 3, 500, 0.2).hits
 
 
+    def test_overflowed_recursion_raises(self):
+        # c = -2000: the early factors 1 + c/(k+1) overflow float64 within
+        # a few hundred steps, so every row ends NaN (recursion) or inf
+        spec = ProblemSpec(LinearDrift(-1000.0, 0.0), Rademacher(1.0), 2.0, 1.0)
+        for target in ("recursion", "weighted_sum"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="not finite"):
+                    count_tail_hits(spec, target, 1500, 1, 1000, 1.0)
+
+
 class TestTaylorDecompose:
     def test_linear_remainder_exactly_zero(self):
         traj = simulate(linear_spec(), 200, 5, record=True)

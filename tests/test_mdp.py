@@ -1,9 +1,14 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sapprox.engine import weighted_sums_over_signs
 from sapprox.mdp import (
     Schedule,
     binomial_band,
@@ -27,16 +32,17 @@ def rad_spec(b=1.0, alpha1=-2.0, sigma=1.0, x0=0.0):
     return ProblemSpec(LinearDrift(alpha1, 0.0), Rademacher(sigma), b, x0)
 
 
+def all_signs(m):
+    """The full 2^m x m table of +-1 sign patterns."""
+    idx = np.arange(1 << m, dtype=np.uint64)[:, None]
+    bits = (idx >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)
+    return 2.0 * bits.astype(np.float64) - 1.0
+
+
 def support_midpoints(spec, n, count):
     """Thresholds strictly inside real gaps of the attainable |statistic|
     values, so float boundary effects cannot flip a comparison."""
-    m = n + 1
-    idx = np.arange(1 << m, dtype=np.uint64)[:, None]
-    bits = (idx >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)
-    signs = 2.0 * bits.astype(np.float64) - 1.0
-    from sapprox.engine import weighted_sums_over_signs
-
-    mags = np.unique(np.abs(weighted_sums_over_signs(spec, n, signs)))
+    mags = np.unique(np.abs(weighted_sums_over_signs(spec, n, all_signs(n + 1))))
     scale = max(1.0, float(mags[-1]))
     gaps = np.flatnonzero(np.diff(mags) > 1e-9 * scale)
     mids = 0.5 * (mags[gaps] + mags[gaps + 1])
@@ -160,6 +166,80 @@ class TestEnumeration:
             exact_tail_enumeration(tpa, 5, 0.1)
         with pytest.raises(ValueError):
             exact_tail_enumeration(rad_spec(), 23, 0.1)
+
+
+def around(values):
+    """Each value with its two float neighbours, so ties and the thresholds
+    just off them are all compared."""
+    out = []
+    for v in values:
+        out += [v, float(np.nextafter(v, -np.inf)), float(np.nextafter(v, np.inf))]
+    return out
+
+
+class TestEnumerationKernel:
+    """The doubling kernel against per-pattern references built here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.floats(-6.0, -1.01),
+        b=st.floats(0.2, 3.0),
+        sigma=st.floats(0.1, 3.0),
+        x_star=st.floats(-50.0, 50.0),
+        n=st.integers(0, 14),
+        picks=st.lists(st.integers(0, 2**15 - 1), min_size=1, max_size=6),
+    )
+    def test_spec_oracle_matches_sign_matrix(self, c, b, sigma, x_star, n, picks):
+        spec = ProblemSpec(LinearDrift(c / b, x_star), Rademacher(sigma), b, x_star)
+        mags = np.abs(weighted_sums_over_signs(spec, n, all_signs(n + 1)))
+        for t in around(float(mags[p % len(mags)]) for p in picks):
+            want = Fraction(int(np.count_nonzero(mags > t)), len(mags))
+            assert exact_tail_enumeration(spec, n, t) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.lists(
+            st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.1, 0.5, -1.0])),
+            max_size=11,
+        ),
+        picks=st.lists(st.integers(0, 2**11 - 1), min_size=1, max_size=6),
+    )
+    def test_signed_sum_matches_left_to_right_sums(self, w, picks):
+        mags = []
+        for signs in itertools.product((1.0, -1.0), repeat=len(w)):
+            acc = 0.0
+            for wk, xk in zip(w, signs):
+                acc += wk * xk
+            mags.append(abs(acc))
+        attained = [mags[p % len(mags)] for p in picks]
+        for t in around(attained) + [-1.0, math.nan]:
+            want = Fraction(sum(x > t for x in mags), len(mags))
+            assert enumerate_signed_sum_tail(w, t) == want
+
+    def test_empty_sum(self):
+        assert enumerate_signed_sum_tail([], 0.0) == 0
+        assert enumerate_signed_sum_tail([], -0.5) == 1
+        assert enumerate_signed_sum_tail([], math.nan) == 0
+
+    def test_negative_threshold_counts_each_pattern_once(self):
+        # count(s > t) + count(s < -t) would count every pattern twice here
+        assert enumerate_signed_sum_tail([0.6, 0.8, 0.0], -0.1) == 1
+        assert exact_tail_enumeration(rad_spec(), 6, -0.1) == 1
+
+    def test_nan_threshold_hits_nothing(self):
+        assert enumerate_signed_sum_tail([0.6, 0.8], math.nan) == 0
+        assert exact_tail_enumeration(rad_spec(), 6, math.nan) == 0
+
+    def test_memory_is_one_value_per_pattern_pair(self):
+        # 2^20 float64 values are 8 MiB; a sign matrix of the 2^21 patterns
+        # of n = 20 would peak above 500 MiB
+        tracemalloc.start()
+        try:
+            exact_tail_enumeration(rad_spec(), 20, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestEstimateTail:
