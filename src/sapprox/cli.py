@@ -28,7 +28,6 @@ from sapprox.config import (
     ConfigError,
     ExperimentConfig,
     apply_overrides,
-    build_schedule,
     load_raw,
     parse_config,
 )
@@ -199,13 +198,12 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_rate(cfg: ExperimentConfig, args) -> int:
     block = cfg.block
-    schedule = build_schedule(cfg)
     target = block["target"]
     replicas = int(block["replicas"])
     out, fmt = _resolve_output(cfg, args)
 
     curve = rate_curve(
-        target, cfg.spec, schedule, replicas, cfg.seed, workers=args.workers
+        target, cfg.spec, cfg.schedule, replicas, cfg.seed, workers=args.workers
     )
     columns = [
         "n", "b_n", "threshold", "replicas", "hits", "p_hat", "ci_low",

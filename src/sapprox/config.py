@@ -20,23 +20,22 @@ One experiment per file.  Shape:
 Only the block of the command being run is required.  The seed is
 mandatory: there is no wall-clock fallback, every run must be
 reproducible from the file alone.
+
+This module checks JSON types only.  Value ranges are checked by the
+constructors (the drift and noise classes, ProblemSpec, Schedule), whose
+ParameterError becomes a ConfigIssue at the offending field's path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from sapprox.mdp import Schedule
-from sapprox.model import (
-    LinearDrift,
-    ProblemSpec,
-    Rademacher,
-    SineLinearDrift,
-    TwoPointAdaptive,
-)
+from sapprox.mdp import Schedule, horizon_grid
+from sapprox.model import DRIFTS, NOISES, ParameterError, ProblemSpec
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +69,7 @@ class ExperimentConfig:
     spec: ProblemSpec
     command: Optional[str] = None
     block: dict = field(default_factory=dict)
+    schedule: Optional[Schedule] = None  # built for the rate command
 
 
 def load_raw(path) -> dict:
@@ -112,23 +112,76 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
 
 
 def _is_real(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number (json reads NaN, Infinity and 1e400 as floats)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond float64
+        return False
 
 
 def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_n_grid(block: dict, path: str, issues: list[ConfigIssue]) -> None:
+def _real(value: Any, path: str, issues: list[ConfigIssue]) -> Optional[float]:
+    if not _is_real(value):
+        issues.append(ConfigIssue(path, "must be a finite real number"))
+        return None
+    return float(value)
+
+
+def _construct(make: Callable, path_of: Callable[[str], str],
+               issues: list[ConfigIssue], *args) -> Any:
+    """make(*args), a ParameterError becoming an issue at the path of its
+    field, or of the object holding its fields when it names several."""
+    try:
+        return make(*args)
+    except ParameterError as exc:
+        paths = [path_of(name) for name in exc.fields]
+        path = paths[0] if len(paths) == 1 else paths[0].rpartition(".")[0]
+        issues.append(ConfigIssue(path, str(exc)))
+        return None
+
+
+def _lookup(raw: dict, path: str) -> Any:
+    node: Any = raw
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return MISSING
+        node = node[part]
+    return node
+
+
+def _build_model(raw: dict, section: str, registry: dict, issues: list[ConfigIssue],
+                 path_of: Callable[[str], str]):
+    """The drift or noise model of `section`: the class its kind names in
+    the registry, built from that class's fields."""
+    kind = _lookup(raw, f"{section}.kind")
+    cls = registry.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        issues.append(
+            ConfigIssue(f"{section}.kind", f"must be one of {tuple(registry)}")
+        )
+        return None
+    values = {}
+    for f in fields(cls):
+        value = _lookup(raw, path_of(f.name))
+        if value is MISSING and f.default is not MISSING:
+            value = f.default
+        values[f.name] = _real(value, path_of(f.name), issues)
+    if None in values.values():
+        return None
+    return _construct(lambda: cls(**values), path_of, issues)
+
+
+def _n_grid(block: dict, path: str, issues: list[ConfigIssue]) -> Optional[tuple]:
     grid = block.get("n_grid")
-    if not isinstance(grid, list) or not grid:
-        issues.append(ConfigIssue(f"{path}.n_grid", "must be a non-empty list"))
-        return
-    if not all(_is_int(n) and n >= 1 for n in grid):
-        issues.append(ConfigIssue(f"{path}.n_grid", "entries must be integers >= 1"))
-        return
-    if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
-        issues.append(ConfigIssue(f"{path}.n_grid", "must be strictly increasing"))
+    if not isinstance(grid, list) or not all(_is_int(n) for n in grid):
+        issues.append(ConfigIssue(f"{path}.n_grid", "must be a list of integers"))
+        return None
+    return _construct(horizon_grid, lambda name: f"{path}.{name}", issues, grid)
 
 
 def _check_replicas(block: dict, path: str, issues: list[ConfigIssue]) -> None:
@@ -149,68 +202,6 @@ def _check_output(block: dict, path: str, issues: list[ConfigIssue],
         issues.append(
             ConfigIssue(f"{path}.format", f"must be one of {OUTPUT_FORMATS}")
         )
-
-
-def _build_drift(raw: dict, issues: list[ConfigIssue]):
-    drift_cfg = raw.get("drift")
-    if not isinstance(drift_cfg, dict):
-        issues.append(ConfigIssue("drift", "missing or not an object"))
-        return None
-    kind = drift_cfg.get("kind")
-    params = drift_cfg.get("parameters")
-    x_star = drift_cfg.get("x_star", 0.0)
-    if not _is_real(x_star):
-        issues.append(ConfigIssue("drift.x_star", "must be a real number"))
-        return None
-    if not isinstance(params, dict):
-        issues.append(ConfigIssue("drift.parameters", "missing or not an object"))
-        return None
-    if kind == "linear":
-        alpha1 = params.get("alpha1")
-        if not _is_real(alpha1) or not alpha1 < 0:
-            issues.append(
-                ConfigIssue("drift.parameters", "linear drift needs alpha1 < 0")
-            )
-            return None
-        return LinearDrift(alpha1=float(alpha1), x_star=float(x_star))
-    if kind == "sine_linear":
-        c1, c2 = params.get("c1"), params.get("c2")
-        if not (_is_real(c1) and _is_real(c2)) or not (c1 > c2 > 0):
-            issues.append(
-                ConfigIssue("drift.parameters", "sine_linear drift needs c1 > c2 > 0")
-            )
-            return None
-        return SineLinearDrift(c1=float(c1), c2=float(c2), x_star=float(x_star))
-    issues.append(ConfigIssue("drift.kind", "must be 'linear' or 'sine_linear'"))
-    return None
-
-
-def _build_noise(raw: dict, issues: list[ConfigIssue]):
-    noise_cfg = raw.get("noise")
-    if not isinstance(noise_cfg, dict):
-        issues.append(ConfigIssue("noise", "missing or not an object"))
-        return None
-    kind = noise_cfg.get("kind")
-    sigma = noise_cfg.get("sigma")
-    if not _is_real(sigma) or not sigma > 0:
-        issues.append(ConfigIssue("noise.sigma", "must be a real number > 0"))
-        return None
-    if kind == "rademacher":
-        return Rademacher(sigma=float(sigma))
-    if kind == "two_point_adaptive":
-        p_min, p_max = noise_cfg.get("p_min"), noise_cfg.get("p_max")
-        if not (_is_real(p_min) and _is_real(p_max)) or not (
-            0.0 < p_min <= p_max < 1.0
-        ):
-            issues.append(
-                ConfigIssue("noise", "two_point_adaptive needs 0 < p_min <= p_max < 1")
-            )
-            return None
-        return TwoPointAdaptive(sigma=float(sigma), p_min=float(p_min), p_max=float(p_max))
-    issues.append(
-        ConfigIssue("noise.kind", "must be 'rademacher' or 'two_point_adaptive'")
-    )
-    return None
 
 
 def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
@@ -235,17 +226,18 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
         # the noise hash reads the seed mod 2^64: larger seeds would alias
         issues.append(ConfigIssue("seed", f"must lie in [0, 2^64), got {seed}"))
 
-    drift = _build_drift(raw, issues)
-    noise = _build_noise(raw, issues)
-
-    b = raw.get("b")
-    if not _is_real(b) or not b > 0:
-        issues.append(ConfigIssue("b", "must be a real number > 0"))
-    x0 = raw.get("x0")
-    if not _is_real(x0):
-        issues.append(ConfigIssue("x0", "must be a real number"))
+    drift = _build_model(raw, "drift", DRIFTS, issues, lambda name: (
+        "drift.x_star" if name == "x_star" else f"drift.parameters.{name}"))
+    noise = _build_model(raw, "noise", NOISES, issues, lambda name: f"noise.{name}")
+    b = _real(raw.get("b"), "b", issues)
+    x0 = _real(raw.get("x0"), "x0", issues)
+    spec = None
+    if b is not None and x0 is not None:
+        # built even when the drift or noise failed, so b is checked too
+        spec = _construct(ProblemSpec, lambda name: name, issues, drift, noise, b, x0)
 
     block: dict = {}
+    schedule = None
     if command is not None:
         block_raw = raw.get(command)
         if not isinstance(block_raw, dict):
@@ -268,7 +260,7 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
                     issues.append(
                         ConfigIssue("bound.epsilon", "must be a real number > 0")
                     )
-                _check_n_grid(block, "bound", issues)
+                _n_grid(block, "bound", issues)
                 _check_replicas(block, "bound", issues)
                 paper_c = block.get("paper_c")
                 if paper_c is not None and (not _is_real(paper_c) or not paper_c > 0):
@@ -281,40 +273,24 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
                     issues.append(
                         ConfigIssue("rate.target", f"must be one of {RATE_TARGETS}")
                     )
-                gamma = block.get("gamma")
-                if not _is_real(gamma) or not gamma > 0:
-                    issues.append(ConfigIssue("rate.gamma", "must be a real number > 0"))
-                r = block.get("r")
-                if not _is_real(r) or not r > 0:
-                    issues.append(ConfigIssue("rate.r", "must be a real number > 0"))
-                _check_n_grid(block, "rate", issues)
+                gamma = _real(block.get("gamma"), "rate.gamma", issues)
+                r = _real(block.get("r"), "rate.r", issues)
+                grid = _n_grid(block, "rate", issues)
+                if None not in (gamma, r, grid):
+                    schedule = _construct(Schedule, lambda name: f"rate.{name}",
+                                          issues, gamma, grid, r)
                 _check_replicas(block, "rate", issues)
                 _check_output(block, "rate", issues, required=True)
-                if drift is not None and _is_real(b) and b > 0:
-                    if not b * drift.gprime_star < -1.0:
-                        issues.append(
-                            ConfigIssue(
-                                "rate",
-                                "deviation-rate runs need b * g'(x*) < -1, got "
-                                f"{b * drift.gprime_star}",
-                            )
-                        )
+                if spec is not None and drift is not None:
+                    try:
+                        spec.require_mdp_regime()
+                    except ValueError as exc:
+                        issues.append(ConfigIssue("rate", str(exc)))
             else:
                 issues.append(ConfigIssue(command, f"unknown command {command!r}"))
 
     if issues:
         raise ConfigError(issues)
 
-    spec = ProblemSpec(drift=drift, noise=noise, b=float(b), x0=float(x0))
-    return ExperimentConfig(
-        raw=raw, seed=int(seed), spec=spec, command=command, block=block
-    )
-
-
-def build_schedule(cfg: ExperimentConfig) -> Schedule:
-    block = cfg.block
-    return Schedule(
-        gamma=float(block["gamma"]),
-        n_grid=tuple(block["n_grid"]),
-        r=float(block["r"]),
-    )
+    return ExperimentConfig(raw=raw, seed=int(seed), spec=spec, command=command,
+                            block=block, schedule=schedule)

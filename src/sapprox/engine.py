@@ -17,7 +17,7 @@ separates the two draw kinds:
     mapped 1 -> +1, 0 -> -1.
   * Uniform at step k: the top 53 bits of z(i, k; D_UNIF) scaled to [0, 1).
 
-The scalar ReplicaStream and the vectorized batch runner evaluate the same
+The scalar ReplicaStream and its block twin BlockStream evaluate the same
 functions, so a batch row equals the corresponding single-replica run.
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
@@ -33,13 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from sapprox.model import (
-    LinearDrift,
-    ProblemSpec,
-    Rademacher,
-    eval_g,
-    sample_noise,
-)
+from sapprox.model import LinearDrift, ProblemSpec, Rademacher, eval_g
 from sapprox.weights import recursion_weights
 
 _MASK = (1 << 64) - 1
@@ -113,6 +107,48 @@ class ReplicaStream:
     def uniform(self, k: int) -> float:
         z = _mix64(self._key ^ _step_key(_D_UNIF, k))
         return (z >> 11) * _INV53
+
+
+class BlockStream:
+    """ReplicaStream of every replica in [lo, hi) at once: element i of each
+    draw is the draw of replica lo + i.  Hash words are computed into one
+    buffer, so a returned word is valid until the next call."""
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        self.width = hi - lo
+        self._keys = replica_keys_array(seed, lo, hi)
+        self._word = np.empty(self.width, dtype=np.uint64)
+        self._bits = None  # scratch of signs(); whole-word readers never need it
+        self._sign_block = -1
+
+    def _hash(self, domain: int, j: int) -> np.ndarray:
+        np.bitwise_xor(self._keys, np.uint64(_step_key(domain, j)), out=self._word)
+        return _mix64_array(self._word)
+
+    def sign_word(self, j: int) -> np.ndarray:
+        """Hash word j of the signs: bit r is the sign bit of step 64 j + r."""
+        if j != self._sign_block:
+            self._hash(_D_SIGN, j)
+            self._sign_block = j
+        return self._word
+
+    def signs(self, k: int, sigma: float, out: np.ndarray) -> None:
+        """out <- sigma * (+-1), the step-k Rademacher draws; exact via
+        2*sigma*bit - sigma."""
+        j, r = divmod(k, 64)
+        if self._bits is None:
+            self._bits = np.empty(self.width, dtype=np.uint64)
+        np.right_shift(self.sign_word(j), np.uint64(r), out=self._bits)
+        np.bitwise_and(self._bits, np.uint64(1), out=self._bits)
+        np.multiply(self._bits, 2.0 * sigma, out=out, casting="unsafe")
+        out -= sigma
+
+    def uniforms(self, k: int, out: np.ndarray) -> None:
+        """out <- the step-k uniforms in [0, 1)."""
+        self._sign_block = -1  # the word buffer no longer holds a sign word
+        word = self._hash(_D_UNIF, k)
+        np.right_shift(word, np.uint64(11), out=word)
+        np.multiply(word, _INV53, out=out, casting="unsafe")
 
 
 @dataclass(frozen=True)
@@ -200,10 +236,10 @@ def simulate(
         xs[0] = x
     for k in range(n + 1):
         if forced is None:
-            u, state = sample_noise(spec.noise, state, stream, k)
+            u, state = spec.noise.sample(state, stream, k)
         else:
             u = _forced_value(spec, forced)
-        x = x + (spec.b / (k + 1.0)) * (eval_g(spec.drift, x) + u)
+        x = step(spec, x, k, u)
         if record:
             xs[k + 1] = x
             us[k] = u
@@ -242,7 +278,7 @@ def weighted_sum(
     s = 0.0
     for k in range(n + 1):
         if forced is None:
-            u, state = sample_noise(spec.noise, state, stream, k)
+            u, state = spec.noise.sample(state, stream, k)
         else:
             u = _forced_value(spec, forced)
         fk = 1.0 + c / (k + 1.0)
@@ -311,16 +347,6 @@ class BatchResult:
     envelope_violations: int
 
 
-def _rademacher_u(zbuf, bitbuf, r, sigma, ubuf):
-    """ubuf <- sigma * (+-1) from bit r of the hash block; exact via
-    2*sigma*bit - sigma."""
-    np.right_shift(zbuf, np.uint64(r), out=bitbuf)
-    np.bitwise_and(bitbuf, np.uint64(1), out=bitbuf)
-    np.multiply(bitbuf, 2.0 * sigma, out=ubuf, casting="unsafe")
-    ubuf -= sigma
-    return ubuf
-
-
 def _check_target(spec: ProblemSpec, target: str) -> None:
     if target not in ("recursion", "weighted_sum"):
         raise ValueError(f"unknown target {target!r}")
@@ -328,94 +354,41 @@ def _check_target(spec: ProblemSpec, target: str) -> None:
         spec.require_mdp_regime()
 
 
-class _BlockRunner:
-    """Simulates one block of replicas [lo, hi) step-synchronously."""
-
-    def __init__(self, spec: ProblemSpec, target: str, n: int, seed: int,
-                 lo: int, hi: int):
-        _check_target(spec, target)
-        self.spec = spec
-        self.target = target
-        self.n = n
-        self.seed = seed
-        self.lo = lo
-        self.hi = hi
-        self.width = hi - lo
-
-    def run(self, envelope: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
-        """Returns (final deviations, envelope violation count)."""
-        spec = self.spec
-        noise = spec.noise
-        n = self.n
-        w = self.width
-        keys = replica_keys_array(self.seed, self.lo, self.hi)
-        zbuf = np.empty(w, dtype=np.uint64)
-        tbuf = np.empty(w, dtype=np.uint64)
-        ubuf = np.empty(w)
-        gbuf = np.empty(w)
-        bk = spec.b / (np.arange(n + 1, dtype=np.float64) + 1.0)
-        is_rademacher = isinstance(noise, Rademacher)
-        if not is_rademacher:
-            p_table = np.array(
-                [noise.p_for_state(0), noise.p_for_state(1), noise.p_for_state(-1)]
-            )
-            pos_table = np.array([noise.outcomes(p)[0] for p in p_table])
-            neg_table = np.array([noise.outcomes(p)[1] for p in p_table])
-            state = np.zeros(w, dtype=np.intp)
-        if self.target == "recursion":
-            x = np.full(w, spec.x0)
-            x_star = spec.drift.x_star
+def _run_block(spec: ProblemSpec, target: str, n: int, seed: int, lo: int, hi: int,
+               envelope: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
+    """Simulates replicas [lo, hi) step-synchronously; returns (final
+    deviations, envelope violation count)."""
+    _check_target(spec, target)
+    w = hi - lo
+    draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
+    ubuf = np.empty(w)
+    gbuf = np.empty(w)
+    bk = spec.b / (np.arange(n + 1, dtype=np.float64) + 1.0)
+    if target == "recursion":
+        x = np.full(w, spec.x0)
+        x_star = spec.drift.x_star
+    else:
+        s = np.zeros(w)
+        fk = 1.0 + spec.c / (np.arange(n + 1, dtype=np.float64) + 1.0)
+    violations = 0
+    for k in range(n + 1):
+        draw(k, ubuf)
+        if target == "recursion":
+            np.subtract(x, x_star, out=gbuf)
+            spec.drift.apply_to_deviation(gbuf)
+            gbuf += ubuf
+            gbuf *= bk[k]
+            x += gbuf
+            if envelope is not None:
+                np.abs(np.subtract(x, x_star, out=gbuf), out=gbuf)
+                violations += int(np.count_nonzero(gbuf > envelope[k + 1]))
         else:
-            s = np.zeros(w)
-            c = spec.c
-            fk = 1.0 + c / (np.arange(n + 1, dtype=np.float64) + 1.0)
-        violations = 0
-        sigma = noise.sigma
-        for k in range(n + 1):
-            if is_rademacher:
-                j, r = divmod(k, 64)
-                if r == 0:
-                    np.bitwise_xor(keys, np.uint64(_step_key(_D_SIGN, j)), out=zbuf)
-                    _mix64_array(zbuf)
-                _rademacher_u(zbuf, tbuf, r, sigma, ubuf)
-            else:
-                np.bitwise_xor(keys, np.uint64(_step_key(_D_UNIF, k)), out=zbuf)
-                _mix64_array(zbuf)
-                np.right_shift(zbuf, np.uint64(11), out=tbuf)
-                np.multiply(tbuf, _INV53, out=ubuf, casting="unsafe")
-                p = p_table[state]
-                went_up = ubuf < p
-                ubuf[:] = np.where(went_up, pos_table[state], neg_table[state])
-                state = np.where(went_up, 1, -1)
-            if self.target == "recursion":
-                np.subtract(x, x_star, out=gbuf)
-                self._apply_drift(gbuf)
-                gbuf += ubuf
-                gbuf *= bk[k]
-                x += gbuf
-                if envelope is not None:
-                    np.abs(np.subtract(x, x_star, out=gbuf), out=gbuf)
-                    violations += int(np.count_nonzero(gbuf > envelope[k + 1]))
-            else:
-                s *= fk[k]
-                ubuf *= bk[k]
-                s += ubuf
-        if self.target == "recursion":
-            return x - x_star, violations
-        return s, violations
-
-    def _apply_drift(self, dev: np.ndarray) -> None:
-        """dev <- g(x) given dev = x - x_star on entry."""
-        drift = self.spec.drift
-        if isinstance(drift, LinearDrift):
-            dev *= drift.alpha1
-        else:
-            # -c1*u - c2*sin(u)
-            t = np.sin(dev)
-            t *= drift.c2
-            dev *= drift.c1
-            dev += t
-            np.negative(dev, out=dev)
+            s *= fk[k]
+            ubuf *= bk[k]
+            s += ubuf
+    if target == "recursion":
+        return x - x_star, violations
+    return s, violations
 
 
 def _map_blocks(one, replicas: int, workers: int) -> list:
@@ -458,7 +431,7 @@ def batch_final_deviations(
 
     def one(rng: tuple[int, int]) -> np.ndarray:
         lo, hi = rng
-        return _BlockRunner(spec, target, n, seed, lo, hi).run()[0]
+        return _run_block(spec, target, n, seed, lo, hi)[0]
 
     return np.concatenate(_map_blocks(one, replicas, workers))
 
@@ -541,15 +514,12 @@ class _LinearRademacherTail:
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi)."""
         w = hi - lo
-        keys = replica_keys_array(seed, lo, hi)
-        zbuf = np.empty(w, dtype=np.uint64)
-        byte_rows = zbuf.view(np.uint8).reshape(w, 8)
+        stream = BlockStream(seed, lo, hi)
         part = np.empty(w)
         dev = np.full(w, self.start)
         for j in range(self.words):
             table = self._word_weights[j] @ _BYTE_SIGNS
-            np.bitwise_xor(keys, np.uint64(_step_key(_D_SIGN, j)), out=zbuf)
-            _mix64_array(zbuf)
+            byte_rows = stream.sign_word(j).view(np.uint8).reshape(w, 8)
             for m, col in enumerate(_BYTE_COLUMNS):
                 # a byte never exceeds 255, so "clip" only skips the bounds check
                 np.take(table[m], byte_rows[:, col], out=part, mode="clip")
@@ -606,9 +576,7 @@ def count_tail_hits(
         lo, hi = rng
         if closed_form is not None:
             return closed_form.hits(seed, lo, hi, threshold, inclusive), 0
-        devs, violations = _BlockRunner(spec, target, n, seed, lo, hi).run(
-            envelope=envelope
-        )
+        devs, violations = _run_block(spec, target, n, seed, lo, hi, envelope)
         return _count_beyond(np.abs(devs), threshold, inclusive), violations
 
     parts = _map_blocks(one, replicas, workers)

@@ -18,10 +18,22 @@ import numpy as np
 from scipy import stats
 
 from sapprox.engine import count_tail_hits
-from sapprox.model import ProblemSpec, Rademacher
+from sapprox.model import ParameterError, ProblemSpec, Rademacher
 from sapprox.weights import h_norm
 
 ENUMERATION_MAX_N = 22
+
+
+def horizon_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
+    """n_grid as a tuple, checked non-empty, >= 1 and strictly increasing."""
+    grid = tuple(n_grid)
+    if not grid:
+        raise ParameterError("n_grid must not be empty", "n_grid")
+    if any(n < 1 for n in grid):
+        raise ParameterError(f"horizons must be >= 1, got {grid}", "n_grid")
+    if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
+        raise ParameterError(f"n_grid must be strictly increasing, got {grid}", "n_grid")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -35,17 +47,10 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+            raise ParameterError(f"gamma must be positive, got {self.gamma}", "gamma")
         if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        grid = tuple(self.n_grid)
-        if not grid:
-            raise ValueError("n_grid must not be empty")
-        if any(n < 1 for n in grid):
-            raise ValueError(f"horizons must be >= 1, got {grid}")
-        if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
-            raise ValueError(f"n_grid must be strictly increasing, got {grid}")
-        object.__setattr__(self, "n_grid", grid)
+            raise ParameterError(f"r must be positive, got {self.r}", "r")
+        object.__setattr__(self, "n_grid", horizon_grid(self.n_grid))
 
     def b(self, n: int) -> float:
         return float(n) ** (1.0 / (2.0 * (1.0 + self.gamma)))

@@ -16,26 +16,45 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """A constructor argument outside its range; `fields` names the
+    arguments of the violated constraint."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.fields = names
+
+
+class _Model:
+    """A drift or noise model: `kind` names it in configs and fingerprints,
+    and its dataclass fields are its parameters."""
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class LinearDrift:
+class LinearDrift(_Model):
     """g(x) = alpha1 * (x - x_star) with alpha1 < 0.
 
     The boundary case with zero curvature: K1 = K2 = |alpha1|, Ka = 0, so
     the Taylor remainder vanishes identically.
     """
 
+    kind = "linear"
+
     alpha1: float
     x_star: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.alpha1 < 0:
-            raise ValueError(f"alpha1 must be negative, got {self.alpha1}")
+            raise ParameterError(f"alpha1 must be negative, got {self.alpha1}", "alpha1")
 
     @property
     def gprime_star(self) -> float:
@@ -56,17 +75,20 @@ class LinearDrift:
     def __call__(self, x):
         return self.alpha1 * (x - self.x_star)
 
-    def describe(self) -> dict:
-        return {"kind": "linear", "alpha1": self.alpha1, "x_star": self.x_star}
+    def apply_to_deviation(self, dev: np.ndarray) -> None:
+        """dev <- g(x) in place, given dev = x - x_star."""
+        dev *= self.alpha1
 
 
 @dataclass(frozen=True)
-class SineLinearDrift:
+class SineLinearDrift(_Model):
     """g(x) = -c1 * u - c2 * sin(u) with u = x - x_star and c1 > c2 > 0.
 
     Globally |sin u| <= |u| gives K1 = c1 - c2 and K2 = c1 + c2, while
     g''(u) = c2 sin(u) gives Ka = c2; the slope at the root is -(c1 + c2).
     """
+
+    kind = "sine_linear"
 
     c1: float
     c2: float
@@ -74,8 +96,8 @@ class SineLinearDrift:
 
     def __post_init__(self) -> None:
         if not (self.c1 > self.c2 > 0):
-            raise ValueError(
-                f"need c1 > c2 > 0, got c1={self.c1}, c2={self.c2}"
+            raise ParameterError(
+                f"need c1 > c2 > 0, got c1={self.c1}, c2={self.c2}", "c1", "c2"
             )
 
     @property
@@ -98,13 +120,13 @@ class SineLinearDrift:
         u = x - self.x_star
         return -self.c1 * u - self.c2 * np.sin(u)
 
-    def describe(self) -> dict:
-        return {
-            "kind": "sine_linear",
-            "c1": self.c1,
-            "c2": self.c2,
-            "x_star": self.x_star,
-        }
+    def apply_to_deviation(self, dev: np.ndarray) -> None:
+        """dev <- g(x) in place, given dev = x - x_star."""
+        t = np.sin(dev)
+        t *= self.c2
+        dev *= self.c1
+        dev += t
+        np.negative(dev, out=dev)
 
 
 DriftFunction = Union[LinearDrift, SineLinearDrift]
@@ -204,28 +226,43 @@ def validate_drift(
 
 
 @dataclass(frozen=True)
-class Rademacher:
-    """u = +sigma or -sigma with probability 1/2 each, independent of the past."""
+class _Noise(_Model):
+    """Noise with conditional second moment sigma^2; state 0 is the state
+    before the first draw."""
 
     sigma: float
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise ParameterError(f"sigma must be positive, got {self.sigma}", "sigma")
+
+    def initial_state(self) -> int:
+        return 0
+
+
+@dataclass(frozen=True)
+class Rademacher(_Noise):
+    """u = +sigma or -sigma with probability 1/2 each, independent of the past."""
+
+    kind = "rademacher"
 
     @property
     def Ku(self) -> float:
         return self.sigma
 
-    def initial_state(self) -> int:
-        return 0
+    def sample(self, state: int, stream, k: int) -> tuple[float, int]:
+        """(u, next state) of step k from a scalar engine.ReplicaStream."""
+        return self.sigma * stream.rademacher_sign(k), 0
 
-    def describe(self) -> dict:
-        return {"kind": "rademacher", "sigma": self.sigma}
+    def block_sampler(self, stream):
+        """draw(k, out): the step-k values of every replica of a block
+        engine.BlockStream, written into out."""
+        sigma = self.sigma
+        return lambda k, out: stream.signs(k, sigma, out)
 
 
 @dataclass(frozen=True)
-class TwoPointAdaptive:
+class TwoPointAdaptive(_Noise):
     """Two-point noise whose success probability depends on the last sign.
 
     Given the current p, the draw is +sigma*sqrt((1-p)/p) with probability
@@ -236,27 +273,24 @@ class TwoPointAdaptive:
     midpoint.
     """
 
-    sigma: float
+    kind = "two_point_adaptive"
+
     p_min: float
     p_max: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        super().__post_init__()
         if not (0.0 < self.p_min <= self.p_max < 1.0):
-            raise ValueError(
+            raise ParameterError(
                 f"need 0 < p_min <= p_max < 1, got p_min={self.p_min}, "
-                f"p_max={self.p_max}"
+                f"p_max={self.p_max}",
+                "p_min",
+                "p_max",
             )
 
     @property
     def Ku(self) -> float:
-        worst_pos = self.sigma * math.sqrt((1.0 - self.p_min) / self.p_min)
-        worst_neg = self.sigma * math.sqrt(self.p_max / (1.0 - self.p_max))
-        return max(worst_pos, worst_neg)
-
-    def initial_state(self) -> int:
-        return 0
+        return max(self.outcomes(self.p_min)[0], -self.outcomes(self.p_max)[1])
 
     def p_for_state(self, state: int) -> float:
         """Map the previous draw's sign (0 = no history) to a probability."""
@@ -272,33 +306,43 @@ class TwoPointAdaptive:
         neg = -self.sigma * math.sqrt(p / (1.0 - p))
         return pos, neg
 
-    def describe(self) -> dict:
-        return {
-            "kind": "two_point_adaptive",
-            "sigma": self.sigma,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-        }
+    def sample(self, state: int, stream, k: int) -> tuple[float, int]:
+        """(u, next state) of step k from a scalar engine.ReplicaStream."""
+        p = self.p_for_state(state)
+        pos, neg = self.outcomes(p)
+        if stream.uniform(k) < p:
+            return pos, 1
+        return neg, -1
+
+    def block_sampler(self, stream):
+        """draw(k, out): the step-k values of every replica of a block
+        engine.BlockStream, written into out.  Each replica's state carries
+        over from one call to the next, so steps must come in order."""
+        # indexed by state 0, 1 and -1 (the last entry)
+        p_table = np.array([self.p_for_state(state) for state in (0, 1, -1)])
+        pos_table, neg_table = np.array([self.outcomes(p) for p in p_table]).T
+        state = np.zeros(stream.width, dtype=np.intp)
+
+        def draw(k: int, out: np.ndarray) -> None:
+            nonlocal state
+            stream.uniforms(k, out)
+            went_up = out < p_table[state]
+            out[:] = np.where(went_up, pos_table[state], neg_table[state])
+            state = np.where(went_up, 1, -1)
+
+        return draw
 
 
 NoiseModel = Union[Rademacher, TwoPointAdaptive]
 
+DRIFTS = {cls.kind: cls for cls in (LinearDrift, SineLinearDrift)}
+NOISES = {cls.kind: cls for cls in (Rademacher, TwoPointAdaptive)}
+
 
 def sample_noise(noise: NoiseModel, state: int, stream, k: int) -> tuple[float, int]:
-    """Draw the step-k noise value from a replica stream.
-
-    Returns (u, next_state).  The stream provides the deterministic draws
-    for position k (see engine.ReplicaStream); |u| <= noise.Ku always, and
-    given the state the two possible outcomes have exact mean 0 and exact
-    second moment sigma^2.
-    """
-    if isinstance(noise, Rademacher):
-        return noise.sigma * stream.rademacher_sign(k), 0
-    p = noise.p_for_state(state)
-    pos, neg = noise.outcomes(p)
-    if stream.uniform(k) < p:
-        return pos, 1
-    return neg, -1
+    """(u, next_state) of step k from a replica stream (engine.ReplicaStream);
+    |u| <= noise.Ku always."""
+    return noise.sample(state, stream, k)
 
 
 @dataclass(frozen=True)
@@ -312,7 +356,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
+            raise ParameterError(f"b must be positive, got {self.b}", "b")
 
     @property
     def c(self) -> float:

@@ -132,17 +132,14 @@ def recursion_weights(spec, n: int) -> tuple[float, np.ndarray]:
     return float(f[0] * suffix[0]), spec.b * suffix / (j + 1.0)
 
 
-def weight_sum(b: float, c: float, n: int) -> float:
+def weight_sum(c: float, n: int) -> float:
     """sum_{k=0}^{n} (k+1)^{-2} * beta(c, k+1, n)^2.
 
-    Independent of b (the b^2 factor lives in h_norm); b is validated here
-    because callers always pair the two.  Computed as a single backward
-    sweep with a running product, O(n) time and O(1) memory.  The k = n
-    term is (n+1)^{-2} since beta(c, n+1, n) is the empty product, so the
-    sum is strictly positive.
+    Computed as a single backward sweep with a running product, O(n) time
+    and O(1) memory.  The k = n term is (n+1)^{-2} since beta(c, n+1, n) is
+    the empty product, so the sum is strictly positive; it overflows to inf
+    when the products pass float64's range.
     """
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
     if not c < 0:
         raise ValueError(f"c must be negative, got {c}")
     if n < 0:
@@ -157,11 +154,17 @@ def weight_sum(b: float, c: float, n: int) -> float:
 
 
 def h_norm(b: float, c: float, n: int) -> float:
-    """Normalizer (b^2 * weight_sum(b, c, n))^{-1/2}.
+    """Normalizer (b^2 * weight_sum(c, n))^{-1/2}.
 
     Scales the martingale part of the deviation to second moment sigma^2.
+    Raises FloatingPointError when the weight sum overflows float64.
     """
-    return 1.0 / math.sqrt(b * b * weight_sum(b, c, n))
+    if not b > 0:
+        raise ValueError(f"b must be positive, got {b}")
+    total = weight_sum(c, n)
+    if not math.isfinite(total):
+        raise FloatingPointError(f"the product weights overflow float64 (c={c}, n={n})")
+    return 1.0 / math.sqrt(b * b * total)
 
 
 def h_asymptotic(b: float, c: float, n: int) -> float:

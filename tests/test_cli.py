@@ -4,11 +4,15 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_strategies import specs
 
 from sapprox import selftest as selftest_mod
 from sapprox import weights
 from sapprox.cli import main
 from sapprox.config import apply_overrides, canonical_json, load_raw, parse_config
+from sapprox.model import DRIFTS, NOISES
 from sapprox.weights import SignedLogValue
 
 
@@ -102,6 +106,75 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "b:" in err and "noise.sigma" in err
+
+    @pytest.mark.parametrize("override, path", [
+        ("x0=NaN", "x0"),
+        ("drift.x_star=NaN", "drift.x_star"),
+        ("drift.parameters.alpha1=-Infinity", "drift.parameters.alpha1"),
+        ("b=Infinity", "b"),
+        ("noise.sigma=Infinity", "noise.sigma"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, override, path):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path), "--set", override]) == 2
+        assert f"config error: {path}: must be a finite real number" in capsys.readouterr().err
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("command, override, path", [
+        ("simulate", "drift.parameters.alpha1=0", "drift.parameters.alpha1"),
+        ("simulate", 'drift={"kind": "sine_linear", "parameters": {"c1": 2, "c2": 2}}',
+         "drift.parameters"),
+        ("simulate", 'drift={"kind": "sine_linear", "parameters": {"c1": 2, "c2": 0}}',
+         "drift.parameters"),
+        ("simulate", "noise.sigma=0", "noise.sigma"),
+        ("simulate", 'noise={"kind": "two_point_adaptive", "sigma": 0, "p_min": 0.3, '
+         '"p_max": 0.7}', "noise.sigma"),
+        ("simulate", 'noise={"kind": "two_point_adaptive", "sigma": 1, "p_min": 0, '
+         '"p_max": 0.7}', "noise"),
+        ("simulate", 'noise={"kind": "two_point_adaptive", "sigma": 1, "p_min": 0.3, '
+         '"p_max": 1}', "noise"),
+        ("simulate", 'noise={"kind": "two_point_adaptive", "sigma": 1, "p_min": 0.7, '
+         '"p_max": 0.3}', "noise"),
+        ("simulate", "b=0", "b"),
+        ("rate", "b=0.5", "rate"),
+        ("rate", "rate.gamma=0", "rate.gamma"),
+        ("rate", "rate.r=-1", "rate.r"),
+        ("rate", "rate.n_grid=[0, 5]", "rate.n_grid"),
+        ("rate", "rate.n_grid=[5, 5]", "rate.n_grid"),
+        ("bound", "bound.n_grid=[]", "bound.n_grid"),
+        ("bound", "bound.n_grid=[10, 3]", "bound.n_grid"),
+    ])
+    def test_constructor_constraints_exit_2_with_path(self, tmp_path, capsys, command,
+                                                      override, path):
+        cfg_path, _ = write_config(tmp_path)
+        assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_unknown_kind_lists_registered_kinds(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path), "--set", "noise.kind=gauss",
+                     "--set", "drift.kind=cubic"]) == 2
+        err = capsys.readouterr().err
+        assert f"drift.kind: must be one of {tuple(DRIFTS)}" in err
+        assert f"noise.kind: must be one of {tuple(NOISES)}" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_spec_round_trips_through_config(self, data):
+        spec = data.draw(specs(data.draw(st.sampled_from(sorted(DRIFTS))),
+                               data.draw(st.sampled_from(sorted(NOISES)))))
+        desc = spec.describe()
+        drift = dict(desc["drift"])
+        raw = {
+            "schema_version": 1,
+            "seed": 1,
+            "drift": {"kind": drift.pop("kind"), "x_star": drift.pop("x_star"),
+                      "parameters": drift},
+            **{key: desc[key] for key in ("noise", "b", "x0")},
+        }
+        got = parse_config(json.loads(json.dumps(raw))).spec
+        assert got == spec
+        assert got.fingerprint() == spec.fingerprint()
 
     def test_round_trip_idempotent(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -249,6 +322,21 @@ class TestOverflow:
         )
         assert main(["rate", "--config", str(path)]) == 1
         assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "rate.csv").exists()
+
+
+    def test_overflowing_weights_exit_1(self, tmp_path, capsys):
+        # c = -2000: the weight sum behind h_n overflows float64 at n = 1500
+        path, _ = write_config(
+            tmp_path,
+            drift={"kind": "linear", "parameters": {"alpha1": -1000.0},
+                   "x_star": 0.0},
+            rate={"target": "recursion", "gamma": 3.0, "r": 1.0, "n_grid": [1500],
+                  "replicas": 100, "output": str(tmp_path / "rate.csv")},
+        )
+        assert main(["rate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: FloatingPointError: the product weights overflow float64" in err
         assert not (tmp_path / "rate.csv").exists()
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from model_strategies import specs
 
 from sapprox.engine import (
     BLOCK,
@@ -22,6 +23,8 @@ from sapprox.engine import (
     weighted_sums_over_signs,
 )
 from sapprox.model import (
+    DRIFTS,
+    NOISES,
     LinearDrift,
     ProblemSpec,
     Rademacher,
@@ -228,6 +231,38 @@ class TestBatchEngine:
         assert incl > strict
         assert incl == int(np.count_nonzero(np.abs(devs) >= t))
         assert strict == int(np.count_nonzero(np.abs(devs) > t))
+
+
+class TestModelKernels:
+    """Each registered drift and noise kind's vector kernels against its
+    scalar ones: batch rows equal the scalar run bitwise, except sine drift
+    under the recursion, which agrees to 1e-12 (platform-dependent SIMD sin)."""
+
+    @pytest.mark.parametrize("drift_kind", sorted(DRIFTS))
+    @pytest.mark.parametrize("noise_kind", sorted(NOISES))
+    @pytest.mark.parametrize("target", ["recursion", "weighted_sum"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_batch_rows_match_scalar(self, drift_kind, noise_kind, target, data):
+        spec = data.draw(specs(drift_kind, noise_kind))
+        assume(target == "recursion" or spec.c < -1.0)
+        n = data.draw(st.one_of(st.sampled_from([0, 63, 64]), st.integers(0, 150)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        replicas = data.draw(st.sampled_from([1, 37, BLOCK + 5]))
+        devs = batch_final_deviations(spec, target, n, seed, replicas)
+        rows = {0, replicas - 1, data.draw(st.integers(0, replicas - 1))}
+        if replicas > BLOCK:
+            rows |= {BLOCK - 1, BLOCK}  # both sides of the block boundary
+        for i in sorted(rows):
+            if target == "recursion":
+                want = simulate(spec, n, seed, record=False, replica=i)
+            else:
+                want = weighted_sum(spec, n, seed, replica=i)
+            if target == "recursion" and drift_kind == SineLinearDrift.kind:
+                scale = max(1.0, envelope_bound(spec, n)[1])
+                assert devs[i] == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
+            else:
+                assert devs[i] == want, (spec, n, seed, i)
 
 
 class TestClosedFormTail:

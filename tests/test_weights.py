@@ -169,18 +169,18 @@ class TestBetaBounds:
 
 class TestWeightSum:
     def test_two_term_sum(self):
-        assert weight_sum(1.0, -2.0, 1) == 0.25
+        assert weight_sum(-2.0, 1) == 0.25
 
     def test_empty_product_term_only(self):
-        assert weight_sum(1.0, -2.0, 0) == 1.0
+        assert weight_sum(-2.0, 0) == 1.0
 
     def test_against_naive_oracle(self):
         # oracle: weight_sum_naive(-1.5, 10) = 0.046668079268697926
-        assert weight_sum(1.0, -1.5, 10) == pytest.approx(
+        assert weight_sum(-1.5, 10) == pytest.approx(
             0.046668079268697926, rel=1e-14
         )
         for c, n in [(-0.7, 25), (-4.5, 40), (-1.01, 63)]:
-            assert weight_sum(1.0, c, n) == pytest.approx(
+            assert weight_sum(c, n) == pytest.approx(
                 weight_sum_naive(c, n), rel=1e-13
             )
 
@@ -189,15 +189,15 @@ class TestWeightSum:
         for _ in range(50):
             c = float(-rng.uniform(0.01, 5.0))
             n = int(rng.integers(0, 500))
-            assert weight_sum(1.0, c, n) > 0.0
+            assert weight_sum(c, n) > 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            weight_sum(0.0, -2.0, 1)
+            h_norm(0.0, -2.0, 1)
         with pytest.raises(ValueError):
-            weight_sum(1.0, 0.0, 1)
+            weight_sum(0.0, 1)
         with pytest.raises(ValueError):
-            weight_sum(1.0, -2.0, -1)
+            weight_sum(-2.0, -1)
 
 
 class TestRecursionWeights:
@@ -221,6 +221,12 @@ class TestHNorm:
         assert h_norm(1.0, -2.0, 1) == pytest.approx(2.0, rel=1e-15)
         assert h_norm(2.0, -2.0, 1) == pytest.approx(1.0, rel=1e-15)
         assert h_norm(1.0, -2.0, 0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_overflowing_weights_raise(self):
+        # c = -2000: the running product passes 2^1024 within n = 1500
+        assert weight_sum(-2000.0, 1500) == math.inf
+        with pytest.raises(FloatingPointError, match="product weights overflow float64"):
+            h_norm(2.0, -2000.0, 1500)
 
     def test_scaling_in_b(self):
         for b in (0.5, 2.0, 7.0):
