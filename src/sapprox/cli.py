@@ -31,7 +31,7 @@ from sapprox.config import (
     load_raw,
     parse_config,
 )
-from sapprox.engine import count_tail_hits, envelope_bound, simulate
+from sapprox.engine import count_tail_hits_grid, envelope_bound, simulate
 from sapprox.mdp import (
     ENUMERATION_MAX_N,
     binomial_band,
@@ -161,8 +161,12 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
         "n", "epsilon", "delta", "bound", "paper_form",
         "empirical", "ci_low", "ci_high", "replicas",
     ]
+    results = count_tail_hits_grid(
+        cfg.spec, "recursion", n_grid, [epsilon] * len(n_grid), cfg.seed, replicas,
+        inclusive=True, workers=args.workers,
+    )
     rows = []
-    for n in n_grid:
+    for n, result in zip(n_grid, results):
         bound_val = (
             exp_inequality_bound(cfg.spec, epsilon, n, choice).value
             if choice.feasible and n >= choice.feasible_from
@@ -172,10 +176,6 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
             paper_form_bound(float(paper_c), epsilon, choice.delta, n)
             if paper_c is not None
             else None
-        )
-        result = count_tail_hits(
-            cfg.spec, "recursion", n, cfg.seed, replicas, epsilon,
-            inclusive=True, workers=args.workers,
         )
         p_hat = result.hits / replicas
         ci_low, ci_high = clopper_pearson(result.hits, replicas)

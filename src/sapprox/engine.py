@@ -21,6 +21,12 @@ The scalar ReplicaStream and its block twin BlockStream evaluate the same
 functions, so a batch row equals the corresponding single-replica run.
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
+
+Because noise does not depend on the horizon, the path to a horizon n passes
+through the path to every earlier horizon.  count_tail_hits_grid (which
+`sapprox bound` uses) therefore steps each replica block once to the last
+horizon of its grid and counts hits at every grid horizon on the way, with
+the same counts, and so the same output bytes, as one call per horizon.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -354,24 +360,31 @@ def _check_target(spec: ProblemSpec, target: str) -> None:
         spec.require_mdp_regime()
 
 
-def _run_block(spec: ProblemSpec, target: str, n: int, seed: int, lo: int, hi: int,
-               envelope: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
-    """Simulates replicas [lo, hi) step-synchronously; returns (final
-    deviations, envelope violation count)."""
+def _run_block(spec: ProblemSpec, target: str, horizons: Sequence[int], seed: int,
+               lo: int, hi: int, envelope: Optional[np.ndarray] = None
+               ) -> list[tuple[np.ndarray, int]]:
+    """Simulates replicas [lo, hi) step-synchronously to the last of the
+    increasing horizons; returns, for each horizon n, the deviations after
+    step n and the envelope violations through step n."""
     _check_target(spec, target)
     w = hi - lo
+    n_max = horizons[-1]
+    stops = set(horizons)
     draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
     ubuf = np.empty(w)
     gbuf = np.empty(w)
-    bk = spec.b / (np.arange(n + 1, dtype=np.float64) + 1.0)
+    bk = spec.b / (np.arange(n_max + 1, dtype=np.float64) + 1.0)
     if target == "recursion":
         x = np.full(w, spec.x0)
         x_star = spec.drift.x_star
     else:
         s = np.zeros(w)
-        fk = 1.0 + spec.c / (np.arange(n + 1, dtype=np.float64) + 1.0)
+        fk = 1.0 + spec.c / (np.arange(n_max + 1, dtype=np.float64) + 1.0)
+    if envelope is not None:
+        beyond = np.empty(w, dtype=bool)
     violations = 0
-    for k in range(n + 1):
+    results = []
+    for k in range(n_max + 1):
         draw(k, ubuf)
         if target == "recursion":
             np.subtract(x, x_star, out=gbuf)
@@ -381,14 +394,15 @@ def _run_block(spec: ProblemSpec, target: str, n: int, seed: int, lo: int, hi: i
             x += gbuf
             if envelope is not None:
                 np.abs(np.subtract(x, x_star, out=gbuf), out=gbuf)
-                violations += int(np.count_nonzero(gbuf > envelope[k + 1]))
+                np.greater(gbuf, envelope[k + 1], out=beyond)
+                violations += int(np.count_nonzero(beyond))
         else:
             s *= fk[k]
             ubuf *= bk[k]
             s += ubuf
-    if target == "recursion":
-        return x - x_star, violations
-    return s, violations
+        if k in stops:
+            results.append((x - x_star if target == "recursion" else s.copy(), violations))
+    return results
 
 
 def _map_blocks(one, replicas: int, workers: int) -> list:
@@ -431,7 +445,7 @@ def batch_final_deviations(
 
     def one(rng: tuple[int, int]) -> np.ndarray:
         lo, hi = rng
-        return _run_block(spec, target, n, seed, lo, hi)[0]
+        return _run_block(spec, target, (n,), seed, lo, hi)[0][0]
 
     return np.concatenate(_map_blocks(one, replicas, workers))
 
@@ -561,28 +575,70 @@ def count_tail_hits(
     the same hits as the sequential recurrence.  Raises FloatingPointError
     if any final deviation is NaN or infinite.
     """
+    return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
+                                inclusive, workers, envelope)[0]
+
+
+def count_tail_hits_grid(
+    spec: ProblemSpec,
+    target: str,
+    horizons: Sequence[int],
+    thresholds: Sequence[float],
+    seed: int,
+    replicas: int,
+    inclusive: bool = False,
+    workers: int = 1,
+    envelope: Optional[np.ndarray] = None,
+) -> tuple[BatchResult, ...]:
+    """count_tail_hits at each of the strictly increasing horizons, with
+    thresholds[i] for horizons[i]; result i equals that single-horizon call.
+
+    Paths are nested (noise depends on the step, not on the horizon), so
+    each replica block is stepped once to the last horizon and counted at
+    every horizon on the way.  Envelope violations of result i are those
+    through step horizons[i].  The closed form shares nothing across
+    horizons (its weights depend on n) and is evaluated per horizon.
+    """
+    horizons = tuple(horizons)
+    thresholds = tuple(thresholds)
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    closed_form = None
+    if not horizons:
+        raise ValueError("horizons must not be empty")
+    if horizons[0] < 0:
+        raise ValueError(f"horizons must be nonnegative, got {horizons}")
+    if any(a >= b for a, b in zip(horizons, horizons[1:])):
+        raise ValueError(f"horizons must be strictly increasing, got {horizons}")
+    if len(thresholds) != len(horizons):
+        raise ValueError(
+            f"need one threshold per horizon, got {len(thresholds)} for "
+            f"{len(horizons)} horizons"
+        )
+    closed_forms = None
     if (envelope is None and isinstance(spec.drift, LinearDrift)
             and isinstance(spec.noise, Rademacher)):
-        closed_form = _LinearRademacherTail(spec, target, n)
-        if not math.isfinite(closed_form.guard):
-            closed_form = None  # overflowing weights: only the recurrence is usable
+        closed_forms = [_LinearRademacherTail(spec, target, n) for n in horizons]
+        if not all(math.isfinite(kernel.guard) for kernel in closed_forms):
+            closed_forms = None  # overflowing weights: only the recurrence is usable
 
-    def one(rng: tuple[int, int]) -> tuple[int, int]:
+    def one(rng: tuple[int, int]) -> list[tuple[int, int]]:
         lo, hi = rng
-        if closed_form is not None:
-            return closed_form.hits(seed, lo, hi, threshold, inclusive), 0
-        devs, violations = _run_block(spec, target, n, seed, lo, hi, envelope)
-        return _count_beyond(np.abs(devs), threshold, inclusive), violations
+        if closed_forms is not None:
+            return [(kernel.hits(seed, lo, hi, t, inclusive), 0)
+                    for kernel, t in zip(closed_forms, thresholds)]
+        rows = _run_block(spec, target, horizons, seed, lo, hi, envelope)
+        return [(_count_beyond(np.abs(devs), t, inclusive), violations)
+                for (devs, violations), t in zip(rows, thresholds)]
 
     parts = _map_blocks(one, replicas, workers)
-    hits = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
-    return BatchResult(hits=hits, replicas=replicas, envelope_violations=violations)
+    return tuple(
+        BatchResult(
+            hits=sum(p[i][0] for p in parts),
+            replicas=replicas,
+            envelope_violations=sum(p[i][1] for p in parts),
+        )
+        for i in range(len(horizons))
+    )
 
 
 def weighted_sums_over_signs(

@@ -122,11 +122,12 @@ class SineLinearDrift(_Model):
 
     def apply_to_deviation(self, dev: np.ndarray) -> None:
         """dev <- g(x) in place, given dev = x - x_star."""
+        # (-c1) u + (-c2) sin u is bitwise -(c1 u + c2 sin u): negation is
+        # exact and round-to-nearest is symmetric about zero
         t = np.sin(dev)
-        t *= self.c2
-        dev *= self.c1
+        t *= -self.c2
+        dev *= -self.c1
         dev += t
-        np.negative(dev, out=dev)
 
 
 DriftFunction = Union[LinearDrift, SineLinearDrift]
@@ -318,17 +319,25 @@ class TwoPointAdaptive(_Noise):
         """draw(k, out): the step-k values of every replica of a block
         engine.BlockStream, written into out.  Each replica's state carries
         over from one call to the next, so steps must come in order."""
-        # indexed by state 0, 1 and -1 (the last entry)
-        p_table = np.array([self.p_for_state(state) for state in (0, 1, -1)])
-        pos_table, neg_table = np.array([self.outcomes(p) for p in p_table]).T
-        state = np.zeros(stream.width, dtype=np.intp)
+        # Block state 0 and 1 mean the last draw went down and up, 2 means no
+        # draw yet.  A step's value is value_table[2 * state + (u < p)], and
+        # (u < p) is the next state, so no step allocates.
+        p_table = np.array([self.p_for_state(state) for state in (-1, 1, 0)])
+        value_table = np.array([v for p in p_table for v in reversed(self.outcomes(p))])
+        state = np.full(stream.width, 2, dtype=np.intp)
+        went_up = np.empty_like(state)
+        p = np.empty(stream.width)
 
         def draw(k: int, out: np.ndarray) -> None:
-            nonlocal state
+            nonlocal state, went_up
             stream.uniforms(k, out)
-            went_up = out < p_table[state]
-            out[:] = np.where(went_up, pos_table[state], neg_table[state])
-            state = np.where(went_up, 1, -1)
+            # indices are always in range, so "clip" only skips the bounds check
+            np.take(p_table, state, out=p, mode="clip")
+            np.less(out, p, out=went_up)
+            state += state
+            state += went_up
+            np.take(value_table, state, out=out, mode="clip")
+            state, went_up = went_up, state
 
         return draw
 

@@ -9,10 +9,12 @@ from model_strategies import specs
 
 from sapprox.engine import (
     BLOCK,
+    BlockStream,
     ReplicaStream,
     _LinearRademacherTail,
     batch_final_deviations,
     count_tail_hits,
+    count_tail_hits_grid,
     envelope_bound,
     replica_key,
     replica_keys_array,
@@ -265,6 +267,47 @@ class TestModelKernels:
                 assert devs[i] == want, (spec, n, seed, i)
 
 
+def reference_two_point_sampler(noise, stream):
+    """The two-point block sampler as a state-table gather plus np.where,
+    kept as the reference for the index-free TwoPointAdaptive.block_sampler."""
+    # indexed by state 0, 1 and -1 (the last entry)
+    p_table = np.array([noise.p_for_state(state) for state in (0, 1, -1)])
+    pos_table, neg_table = np.array([noise.outcomes(p) for p in p_table]).T
+    state = np.zeros(stream.width, dtype=np.intp)
+
+    def draw(k, out):
+        nonlocal state
+        stream.uniforms(k, out)
+        went_up = out < p_table[state]
+        out[:] = np.where(went_up, pos_table[state], neg_table[state])
+        state = np.where(went_up, 1, -1)
+
+    return draw
+
+
+class TestTwoPointBlockSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(0.1, 3.0),
+        p_min=st.floats(0.01, 0.99),
+        upper=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        width=st.sampled_from([1, 37]),
+        seed=st.integers(0, 2**64 - 1),
+        lo=st.integers(0, 1000),
+    )
+    def test_draws_match_reference_bitwise(self, sigma, p_min, upper, width, seed, lo):
+        # upper None: p_min == p_max, else p_max anywhere in [p_min, 0.99]
+        p_max = p_min if upper is None else p_min + upper * (0.99 - p_min)
+        noise = TwoPointAdaptive(sigma, p_min, p_max)
+        draw = noise.block_sampler(BlockStream(seed, lo, lo + width))
+        want = reference_two_point_sampler(noise, BlockStream(seed, lo, lo + width))
+        got, ref = np.empty(width), np.empty(width)
+        for k in range(200):  # step 0 draws at the midpoint, later steps by state
+            draw(k, got)
+            want(k, ref)
+            assert np.array_equal(got, ref), (noise, k)
+
+
 class TestClosedFormTail:
     """Linear drift with Rademacher noise counts tails in closed form; hit
     counts must equal the count over the sequential batch rows."""
@@ -355,6 +398,72 @@ class TestClosedFormTail:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(FloatingPointError, match="not finite"):
                     count_tail_hits(spec, target, 1500, 1, 1000, 1.0)
+
+
+class TestTailGrid:
+    """count_tail_hits_grid steps each block once to the last horizon; each
+    result must equal the single-horizon count_tail_hits call."""
+
+    @pytest.mark.parametrize("drift_kind", sorted(DRIFTS))
+    @pytest.mark.parametrize("noise_kind", sorted(NOISES))
+    @pytest.mark.parametrize("target", ["recursion", "weighted_sum"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_each_horizon_matches_single_call(self, drift_kind, noise_kind, target, data):
+        spec = data.draw(specs(drift_kind, noise_kind))
+        assume(target == "recursion" or spec.c < -1.0)
+        horizons = sorted(data.draw(st.sets(
+            st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 300)),
+            min_size=1, max_size=4,
+        )))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        replicas = data.draw(st.sampled_from([1, 37, BLOCK + 5]))
+        workers = data.draw(st.sampled_from([1, 2]))
+        inclusive = data.draw(st.booleans())
+        thresholds = []
+        for n in horizons:
+            if data.draw(st.booleans()):  # a value some replica attains
+                i = data.draw(st.integers(0, min(replicas, 37) - 1))
+                dev = batch_final_deviations(spec, target, n, seed, i + 1)[i]
+                thresholds.append(abs(float(dev)))
+            else:
+                thresholds.append(data.draw(st.floats(0.0, 3.0)))
+        envelope = None
+        scale = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
+        if scale is not None:  # scaled down, so violations occur
+            envelope = scale * envelope_bound(spec, horizons[-1])[0]
+        got = count_tail_hits_grid(spec, target, horizons, thresholds, seed, replicas,
+                                   inclusive=inclusive, workers=workers,
+                                   envelope=envelope)
+        assert len(got) == len(horizons)
+        for n, t, res in zip(horizons, thresholds, got):
+            want = count_tail_hits(spec, target, n, seed, replicas, t,
+                                   inclusive=inclusive, workers=workers,
+                                   envelope=envelope)
+            assert res == want, (spec, target, n, t)
+
+    def test_violations_accumulate_through_each_horizon(self):
+        spec = sine_spec()
+        got = count_tail_hits_grid(spec, "recursion", (5, 50), (0.5, 0.5), 3, 200,
+                                   envelope=np.zeros(52))
+        assert 0 < got[0].envelope_violations < got[1].envelope_violations
+
+    @pytest.mark.parametrize("horizons, thresholds", [
+        ((), ()),
+        ((5, 5), (1.0, 1.0)),
+        ((10, 5), (1.0, 1.0)),
+        ((-1, 5), (1.0, 1.0)),
+        ((5, 10), (1.0,)),
+        ((5,), (1.0, 2.0)),
+    ])
+    def test_rejects_bad_grids(self, horizons, thresholds):
+        for spec in (linear_spec(), sine_spec()):
+            with pytest.raises(ValueError):
+                count_tail_hits_grid(spec, "recursion", horizons, thresholds, 0, 10)
+
+    def test_rejects_no_replicas(self):
+        with pytest.raises(ValueError):
+            count_tail_hits_grid(sine_spec(), "recursion", (5,), (1.0,), 0, 0)
 
 
 class TestTaylorDecompose:
