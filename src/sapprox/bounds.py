@@ -132,11 +132,17 @@ def exp_inequality_bound(
       sum   = sum_{k=i0}^{n} azuma(eps/4, ranges over i in [k+1, n])
 
     The envelope term P(|X_{i0} - x*| > F) is exactly zero because F
-    dominates the deterministic envelope.  Requires n >= feasible_from
-    (the decomposition needs the margin condition).
+    dominates the deterministic envelope.  Requires epsilon ==
+    choice.epsilon (delta and F are chosen for one epsilon) and
+    n >= feasible_from (the decomposition needs the margin condition).
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon != choice.epsilon:
+        raise ValueError(
+            f"epsilon={epsilon} differs from the epsilon={choice.epsilon} that "
+            "the delta choice was made for"
+        )
     if choice.feasible_from is None:
         raise ValueError("delta choice is infeasible within its probed range")
     if n < choice.feasible_from:

@@ -282,9 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=["csv", "json"])
         p.add_argument("--workers", type=int, default=1,
                        help="max parallel workers for replica blocks")
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check Monte Carlo rows against exact "
-                       "enumeration where available")
+        if name == "rate":
+            p.add_argument("--oracle", action="store_true",
+                           help="cross-check Monte Carlo rows against exact "
+                           "enumeration where available")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field")
     sub.add_parser("selftest")

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher, eval_g
-from sapprox.weights import recursion_weights
+from sapprox.weights import recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -54,8 +54,6 @@ _INV53 = 2.0**-53
 # Replicas are processed in fixed-width blocks; the width never affects
 # results (all batch operations are elementwise), only memory locality.
 BLOCK = 1 << 15
-
-FORCED_MODES = (None, "zero", "plus_sigma")
 
 
 def _mix64(z: int) -> int:
@@ -97,8 +95,6 @@ class ReplicaStream:
     """Scalar view of one replica's noise stream."""
 
     def __init__(self, seed: int, replica: int = 0):
-        self.seed = seed
-        self.replica = replica
         self._key = replica_key(seed, replica)
         self._sign_block = -1
         self._sign_bits = 0
@@ -164,10 +160,6 @@ class Trajectory:
     xs: np.ndarray
     us: np.ndarray
     spec: ProblemSpec
-    fingerprint: str
-    seed: int
-    replica: int
-    forced: Optional[str]
 
     @property
     def horizon(self) -> int:
@@ -208,28 +200,12 @@ def step(spec: ProblemSpec, x: float, k: int, u: float) -> float:
     return x + (spec.b / (k + 1.0)) * (eval_g(spec.drift, x) + u)
 
 
-def _forced_value(spec: ProblemSpec, forced: str) -> float:
-    if forced == "zero":
-        return 0.0
-    if forced == "plus_sigma":
-        return spec.noise.sigma
-    raise ValueError(f"forced must be one of {FORCED_MODES}, got {forced!r}")
-
-
-def simulate(
-    spec: ProblemSpec,
-    n: int,
-    seed: int,
-    record: bool = True,
-    replica: int = 0,
-    forced: Optional[str] = None,
-):
+def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica: int = 0):
     """Run the recursion to X_{n+1}.
 
     Returns a Trajectory when record is on, else only the final deviation
-    X_{n+1} - x* in O(1) memory.  forced="zero" / "plus_sigma" replaces
-    every noise draw with the constant (debug mode for deterministic
-    cross-checks).  Deterministic given (spec, n, seed, replica).
+    X_{n+1} - x* in O(1) memory.  Deterministic given (spec, n, seed,
+    replica).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -241,55 +217,31 @@ def simulate(
         us = np.empty(n + 1)
         xs[0] = x
     for k in range(n + 1):
-        if forced is None:
-            u, state = spec.noise.sample(state, stream, k)
-        else:
-            u = _forced_value(spec, forced)
+        u, state = spec.noise.sample(state, stream, k)
         x = step(spec, x, k, u)
         if record:
             xs[k + 1] = x
             us[k] = u
     if record:
-        return Trajectory(
-            xs=xs,
-            us=us,
-            spec=spec,
-            fingerprint=spec.fingerprint(),
-            seed=seed,
-            replica=replica,
-            forced=forced,
-        )
+        return Trajectory(xs=xs, us=us, spec=spec)
     return x - spec.drift.x_star
 
 
-def weighted_sum(
-    spec: ProblemSpec,
-    n: int,
-    seed: int,
-    replica: int = 0,
-    forced: Optional[str] = None,
-) -> float:
+def weighted_sum(spec: ProblemSpec, n: int, seed: int, replica: int = 0) -> float:
     """b * sum_{k=0}^{n} beta(c, k+1, n) / (k+1) * U_{k+1} with c = b g'(x*).
 
-    Evaluated by the forward recurrence s <- (1 + c/(k+1)) s + b/(k+1) U,
-    one sweep, O(1) memory; this is the noise part of the linearized
-    recursion started at the root.  Requires b g'(x*) < -1.
+    Evaluated by the forward recurrence s <- f_k s + a_k U_{k+1} over
+    weights.recurrence_factors, one sweep; this is the noise part of the
+    linearized recursion started at the root.  Requires b g'(x*) < -1.
     """
     spec.require_mdp_regime()
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    c = spec.c
+    f, a = recurrence_factors(spec.b, spec.c, n)
     stream = ReplicaStream(seed, replica)
     state = spec.noise.initial_state()
     s = 0.0
-    for k in range(n + 1):
-        if forced is None:
-            u, state = spec.noise.sample(state, stream, k)
-        else:
-            u = _forced_value(spec, forced)
-        fk = 1.0 + c / (k + 1.0)
-        ck = spec.b / (k + 1.0)
-        s = fk * s + ck * u
+    for k, (fk, ak) in enumerate(zip(f.tolist(), a.tolist())):
+        u, state = spec.noise.sample(state, stream, k)
+        s = fk * s + ak * u
     return s
 
 
@@ -373,13 +325,12 @@ def _run_block(spec: ProblemSpec, target: str, horizons: Sequence[int], seed: in
     draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
     ubuf = np.empty(w)
     gbuf = np.empty(w)
-    bk = spec.b / (np.arange(n_max + 1, dtype=np.float64) + 1.0)
+    fk, bk = recurrence_factors(spec.b, spec.c, n_max)
     if target == "recursion":
         x = np.full(w, spec.x0)
         x_star = spec.drift.x_star
     else:
         s = np.zeros(w)
-        fk = 1.0 + spec.c / (np.arange(n_max + 1, dtype=np.float64) + 1.0)
     if envelope is not None:
         beyond = np.empty(w, dtype=bool)
     violations = 0
@@ -509,15 +460,13 @@ class _LinearRademacherTail:
             self.start = 0.0
             env, _ = envelope_bound(replace(spec, x0=spec.drift.x_star), n)
             x_star = 0.0
-        j = np.arange(n + 1, dtype=np.float64)
-        spread = 1.0 + abs(spec.c) / (j + 1.0)
+        f, _ = recurrence_factors(spec.b, spec.c, n)
+        k1 = np.arange(1.0, n + 2.0)
+        spread = 1.0 + abs(spec.c) / k1
         tol = _GUARD_ULPS * _UNIT_ROUNDOFF
-        local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * sigma / (j + 1.0))
+        local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * sigma / k1)
         # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
-        growth = np.abs(1.0 + spec.c / (j + 1.0)) + tol * spread
-        carry = np.ones(n + 1)
-        carry[:n] = np.cumprod(growth[:0:-1])[::-1]
-        recurrence = float(carry @ local)
+        recurrence = float(suffix_products(np.abs(f) + tol * spread) @ local)
         # the start plus 8 entries per word are summed, each entry a sum of 8
         terms = 8 * self.words + 9
         summation = terms * _UNIT_ROUNDOFF * (
@@ -640,25 +589,3 @@ def count_tail_hits_grid(
         for i in range(len(horizons))
     )
 
-
-def weighted_sums_over_signs(
-    spec: ProblemSpec, n: int, signs: np.ndarray
-) -> np.ndarray:
-    """Weighted-sum statistic for explicit sign patterns: the per-pattern
-    reference that the enumeration oracles in mdp match bitwise.
-
-    signs has shape (m, n+1) with entries +-1; returns the m statistics for
-    Rademacher noise U_{k+1} = sigma * signs[:, k], evaluated by the same
-    forward recurrence as weighted_sum.
-    """
-    spec.require_mdp_regime()
-    if signs.ndim != 2 or signs.shape[1] != n + 1:
-        raise ValueError(f"signs must have shape (m, {n + 1})")
-    c = spec.c
-    sigma = spec.noise.sigma
-    s = np.zeros(signs.shape[0])
-    for k in range(n + 1):
-        fk = 1.0 + c / (k + 1.0)
-        ck = spec.b / (k + 1.0)
-        s = fk * s + ck * (sigma * signs[:, k])
-    return s

@@ -19,7 +19,7 @@ from scipy import stats
 
 from sapprox.engine import count_tail_hits
 from sapprox.model import ParameterError, ProblemSpec, Rademacher
-from sapprox.weights import h_norm
+from sapprox.weights import h_norm, recurrence_factors
 
 ENUMERATION_MAX_N = 22
 
@@ -199,16 +199,6 @@ def _pattern_tail(factors: Sequence[float], steps: Sequence[float], threshold: f
     return Fraction(2 * int(hits), 1 << m)
 
 
-def _recurrence_coefficients(spec: ProblemSpec, n: int) -> tuple[list[float], list[float]]:
-    """(f_k, a_k) for k = 0..n of the weighted-sum recurrence under Rademacher
-    noise: f_k = 1 + c/(k+1) and a_k = (b/(k+1)) sigma, the same floats that
-    engine.weighted_sums_over_signs multiplies by."""
-    c, b, sigma = spec.c, spec.b, spec.noise.sigma
-    factors = [1.0 + c / (k + 1.0) for k in range(n + 1)]
-    steps = [b / (k + 1.0) * sigma for k in range(n + 1)]
-    return factors, steps
-
-
 def enumerate_signed_sum_tail(weights: Sequence[float], threshold: float) -> Fraction:
     """Exact P(|sum_k w_k xi_k| > t) for independent fair signs xi_k.
 
@@ -226,11 +216,11 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     """Exact P(|weighted sum| > threshold) for Rademacher noise by full
     enumeration of the 2^(n+1) sign patterns.
 
-    Every pattern's statistic is bitwise the value of the forward recurrence
-    that the Monte Carlo path and engine.weighted_sums_over_signs evaluate,
-    so enumeration and estimate agree at float level, not just in
-    distribution.  Costs 2^n float64 values (8 * 2^n bytes) and O(2^n)
-    flops.  Requires n <= 22.
+    The recurrence runs on (f_k, a_k sigma) from weights.recurrence_factors,
+    so every pattern's statistic is bitwise the value of the forward
+    recurrence that the Monte Carlo path evaluates, and enumeration and
+    estimate agree at float level, not just in distribution.  Costs 2^n
+    float64 values (8 * 2^n bytes) and O(2^n) flops.  Requires n <= 22.
     """
     if not isinstance(spec.noise, Rademacher):
         raise ValueError("enumeration oracle requires Rademacher noise")
@@ -239,7 +229,8 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     spec.require_mdp_regime()
-    return _pattern_tail(*_recurrence_coefficients(spec, n), threshold)
+    factors, steps = recurrence_factors(spec.b, spec.c, n)
+    return _pattern_tail(factors, steps * spec.noise.sigma, threshold)
 
 
 @dataclass(frozen=True)

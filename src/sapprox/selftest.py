@@ -71,7 +71,8 @@ def _check_second_moment() -> Optional[str]:
     spec = ProblemSpec(LinearDrift(-2.0, 0.0), Rademacher(1.0), 1.0, 0.0)
     for n in range(0, 11):
         # half the patterns; the other half are their exact negations
-        s = mdp._sign_pattern_sums(*mdp._recurrence_coefficients(spec, n))
+        f, a = weights.recurrence_factors(spec.b, spec.c, n)
+        s = mdp._sign_pattern_sums(f, a * spec.noise.sigma)
         h = weights.h_norm(spec.b, spec.c, n)
         m2 = float(np.mean((h * s) ** 2))
         if abs(m2 - 1.0) > 1e-12:

@@ -4,13 +4,17 @@ Linearizing X_{n+1} = X_n + b/(n+1) * (g(X_n) + U_{n+1}) around the root
 x* turns the deviation into sums weighted by products of the contraction
 factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
 
-    beta(c, k, n)   = prod_{j=k}^{n} (1 + c/(j+1))        (empty product = 1)
+    recurrence_factors(b, c, n) = (f, a), f_k = 1 + c/(k+1), a_k = b/(k+1)
+    beta(c, k, n)   = prod_{j=k}^{n} f_j                  (empty product = 1)
     recursion_weights(spec, n) = (beta(c, 0, n), b beta(c, k+1, n)/(k+1))
     weight_sum(...) = sum_{k=0}^{n} (k+1)^{-2} beta(c, k+1, n)^2
     h_norm(b, c, n) = (b^2 * weight_sum)^{-1/2}
 
 together with the closed-form sandwich bounds on beta and the large-n
-reference sqrt((-2c-1)*n)/b for h_norm.
+reference sqrt((-2c-1)*n)/b for h_norm.  The linearized step
+d <- f_k d + a_k U_{k+1} and every product of its factors use the floats of
+recurrence_factors, multiplied from the last factor backwards
+(suffix_products), in O(n) time and memory.
 
 For c < -1 the first few factors are zero or negative, so products are
 carried in sign-and-log-magnitude form rather than assuming positivity.
@@ -115,42 +119,53 @@ def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:
     return lower, upper
 
 
+def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f, a) with f_k = 1 + c/(k+1) and a_k = b/(k+1) for k = 0..n.
+
+    These are the floats of the linearized step d <- f_k d + a_k U_{k+1};
+    every kernel of the recurrence multiplies by them, so its paths, weights
+    and enumerated sums agree bitwise.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    k1 = np.arange(1.0, n + 2.0)
+    return 1.0 + c / k1, b / k1
+
+
+def suffix_products(f: np.ndarray) -> np.ndarray:
+    """s with s_k = prod_{j>k} f_j (s_last = 1), multiplied from the last
+    factor backwards."""
+    s = np.ones(len(f))
+    s[:-1] = np.cumprod(f[:0:-1])[::-1]
+    return s
+
+
 def recursion_weights(spec, n: int) -> tuple[float, np.ndarray]:
     """(beta(c, 0, n), w) with w_k = b * beta(c, k+1, n) / (k+1), k = 0..n.
 
     spec supplies b and c = b g'(x*).  For linear drift the recursion is
     exactly X_{n+1} - x* = beta(c, 0, n) (x0 - x*) + sum_k w_k U_{k+1}.
-    Evaluated with one backward cumulative product of the float factors
-    1 + c/(j+1), O(n) time and memory.
+    O(n) time and memory.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    j = np.arange(n + 1, dtype=np.float64)
-    f = 1.0 + spec.c / (j + 1.0)
-    suffix = np.ones(n + 1)
-    suffix[:n] = np.cumprod(f[:0:-1])[::-1]
-    return float(f[0] * suffix[0]), spec.b * suffix / (j + 1.0)
+    f, _ = recurrence_factors(spec.b, spec.c, n)
+    suffix = suffix_products(f)
+    return float(f[0] * suffix[0]), spec.b * suffix / np.arange(1.0, n + 2.0)
 
 
 def weight_sum(c: float, n: int) -> float:
     """sum_{k=0}^{n} (k+1)^{-2} * beta(c, k+1, n)^2.
 
-    Computed as a single backward sweep with a running product, O(n) time
-    and O(1) memory.  The k = n term is (n+1)^{-2} since beta(c, n+1, n) is
-    the empty product, so the sum is strictly positive; it overflows to inf
-    when the products pass float64's range.
+    The terms are summed from k = n down to 0, in O(n) time and memory.
+    The k = n term is (n+1)^{-2} since beta(c, n+1, n) is the empty
+    product, so the sum is strictly positive; it overflows to inf when the
+    products pass float64's range (h_norm reports that).
     """
     if not c < 0:
         raise ValueError(f"c must be negative, got {c}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    total = 0.0
-    prod = 1.0  # beta(c, m+1, n) for the current m
-    for m in range(n, -1, -1):
-        term = prod / (m + 1.0)
-        total += term * term
-        prod *= 1.0 + c / (m + 1.0)
-    return total
+    f, _ = recurrence_factors(1.0, c, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = suffix_products(f) / np.arange(1.0, n + 2.0)
+        return float(np.cumsum(np.square(terms[::-1]))[-1])
 
 
 def h_norm(b: float, c: float, n: int) -> float:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from acceptance_report import criterion
+from references import weighted_sums_over_signs
 from sapprox.bounds import azuma_tail, exp_inequality_bound, select_delta
 from sapprox.cli import main
 from sapprox.engine import (
@@ -18,7 +19,6 @@ from sapprox.engine import (
     envelope_bound,
     simulate,
     taylor_decompose,
-    weighted_sums_over_signs,
 )
 from sapprox.mdp import (
     Schedule,

@@ -164,6 +164,14 @@ class TestExpInequalityBound:
         with pytest.raises(ValueError):
             exp_inequality_bound(spec, 0.5, choice.feasible_from - 1, choice)
 
+    def test_rejects_choice_for_another_epsilon(self):
+        # delta and F chosen for eps = 3 would give 5.2e-23 at eps = 1,
+        # against 0.183 from eps = 1's own choice
+        spec = linear_spec()
+        choice = select_delta(spec, 3.0, 10**5)
+        with pytest.raises(ValueError, match="epsilon"):
+            exp_inequality_bound(spec, 1.0, 10**5, choice)
+
     def test_rejects_infeasible_choice(self):
         spec = linear_spec()
         bad = select_delta(spec, 0.01, 50)

@@ -401,6 +401,13 @@ class TestRateCommand:
             "gaussian_rate,limit_rate"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "bound"])
+    def test_oracle_only_on_rate(self, tmp_path, command):
+        path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--oracle"])
+        assert exc.value.code == 2
+
     def test_oracle_mismatch_exits_1(self, tmp_path, monkeypatch, capsys):
         import sapprox.cli as cli_mod
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from model_strategies import specs
+from references import weighted_sums_over_signs
 
 from sapprox.engine import (
     BLOCK,
     BlockStream,
     ReplicaStream,
+    Trajectory,
     _LinearRademacherTail,
     batch_final_deviations,
     count_tail_hits,
@@ -22,7 +24,6 @@ from sapprox.engine import (
     step,
     taylor_decompose,
     weighted_sum,
-    weighted_sums_over_signs,
 )
 from sapprox.model import (
     DRIFTS,
@@ -117,12 +118,14 @@ class TestSimulate:
                 err = abs(traj.xs[k + 1] - want) / max(1e-300, abs(want))
                 assert err <= 1e-12
 
-    def test_forced_zero_matches_weight_product(self):
-        # cross-module oracle: deterministic recursion equals the product
+    def test_noise_free_steps_match_weight_product(self):
+        # cross-module oracle: the noise-free recursion equals the product
         spec = linear_spec(alpha1=-0.75, b=2.0)  # c = -1.5, no zero factor
-        dev = simulate(spec, 200, 0, record=False, forced="zero")
+        x = spec.x0
+        for k in range(201):
+            x = step(spec, x, k, 0.0)
         want = beta_value(spec.c, 0, 200) * spec.x0
-        assert dev == pytest.approx(want, rel=1e-12)
+        assert x == pytest.approx(want, rel=1e-12)
 
     def test_record_off_matches_final(self):
         spec = sine_spec()
@@ -153,12 +156,11 @@ class TestWeightedSum:
         u1 = ReplicaStream(99, 0).rademacher_sign(0) * spec.noise.sigma
         assert s == spec.b * u1
 
-    def test_forced_plus_sigma_hand_expansion(self):
+    def test_all_plus_hand_expansion(self):
         # n=2, b=1, alpha1=-2, sigma=1, all U = +1 -> 0.5
         spec = ProblemSpec(LinearDrift(-2.0, 0.0), Rademacher(1.0), 1.0, 0.0)
-        assert weighted_sum(spec, 2, 0, forced="plus_sigma") == pytest.approx(
-            0.5, rel=1e-15
-        )
+        s = weighted_sums_over_signs(spec, 2, np.ones((1, 3)))
+        assert s[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_rejects_weak_contraction(self):
         weak = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 0.9, 0.0)
@@ -475,8 +477,8 @@ class TestTaylorDecompose:
         assert abs(dec.i1 + dec.i3 - dev) / max(1.0, abs(dev)) < 1e-10
 
     def test_fixed_point_all_zero(self):
-        spec = sine_spec(x0=0.0)
-        traj = simulate(spec, 50, 1, record=True, forced="zero")
+        # the noise-free path started at the root stays there
+        traj = Trajectory(xs=np.zeros(52), us=np.zeros(51), spec=sine_spec(x0=0.0))
         dec = taylor_decompose(traj)
         assert (dec.i1, dec.i2, dec.i3) == (0.0, 0.0, 0.0)
 

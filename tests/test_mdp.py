@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import weighted_sums_over_signs
 
-from sapprox.engine import weighted_sums_over_signs
 from sapprox.mdp import (
     Schedule,
     binomial_band,
