@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from sapprox.engine import count_tail_hits
 from sapprox.model import ParameterError, ProblemSpec, Rademacher
@@ -87,16 +87,36 @@ def clopper_pearson(hits: int, total: int, confidence: float = 0.95) -> tuple[fl
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
-    lo = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2.0, hits, total - hits + 1))
-    hi = 1.0 if hits == total else float(stats.beta.ppf(1.0 - alpha / 2.0, hits + 1, total - hits))
+    lo = 0.0 if hits == 0 else float(special.betaincinv(hits, total - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == total else float(special.betaincinv(hits + 1, total - hits, 1.0 - alpha / 2.0))
     return lo, hi
+
+
+def _binomial_quantile(q: float, total: int, p: float) -> int:
+    """Smallest k with P(Binomial(total, p) <= k) >= q, for 0 < q < 1 and
+    0 < p < 1: an integer bisection on special.bdtr.  P(X <= -1) = 0 < q
+    and P(X <= total) = 1 >= q bracket the answer."""
+    below, at_least = -1, total
+    while at_least - below > 1:
+        k = (below + at_least) // 2
+        if special.bdtr(k, total, p) >= q:
+            at_least = k
+        else:
+            below = k
+    return at_least
 
 
 def binomial_band(p: float, total: int, confidence: float = 0.999) -> tuple[int, int]:
     """Central acceptance region on counts for Binomial(total, p)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
-    lo = int(stats.binom.ppf(alpha / 2.0, total, p)) if p > 0 else 0
-    hi = int(stats.binom.ppf(1.0 - alpha / 2.0, total, p)) if p < 1 else total
+    lo = _binomial_quantile(alpha / 2.0, total, p) if p > 0 else 0
+    hi = _binomial_quantile(1.0 - alpha / 2.0, total, p) if p < 1 else total
     return lo, hi
 
 
@@ -115,8 +135,8 @@ def gaussian_reference(r: float, b_n: float, sigma: float) -> GaussianReference:
     if not (r > 0 and b_n > 0 and sigma > 0):
         raise ValueError("r, b_n and sigma must all be positive")
     z = r * b_n / sigma
-    tail = 2.0 * float(stats.norm.sf(z))
-    rate = (math.log(2.0) + float(stats.norm.logsf(z))) / (b_n * b_n)
+    tail = 2.0 * float(special.ndtr(-z))
+    rate = (math.log(2.0) + float(special.log_ndtr(-z))) / (b_n * b_n)
     return GaussianReference(tail=tail, rate=rate)
 
 
