@@ -25,6 +25,7 @@ from typing import Optional
 from sapprox import selftest as selftest_mod
 from sapprox.bounds import exp_inequality_bound, paper_form_bound, select_delta
 from sapprox.config import (
+    OUTPUT_FORMATS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -111,24 +112,20 @@ def _write_table(path: Path, fmt: str, command: str, columns: list[str],
 
 
 def _resolve_output(cfg: ExperimentConfig, args) -> tuple[Optional[Path], str]:
-    out = args.output or cfg.block.get("output")
-    fmt = args.format or cfg.block.get("format") or "csv"
-    return (Path(out) if out else None, fmt)
+    out = args.output or cfg.block["output"]
+    return (Path(out) if out else None, args.format or cfg.block["format"])
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     n = cfg.block["n"]
-    record = cfg.block.get("record", True)
     out, fmt = _resolve_output(cfg, args)
     _, env_sup = envelope_bound(cfg.spec, n)
-    if record:
+    if cfg.block["record"]:
         traj = simulate(cfg.spec, n, cfg.seed, record=True)
         if fmt == "json":
-            rows = [{"k": 0, "x_k": float(traj.xs[0]), "u_k": None}]
-            rows += [
-                {"k": k, "x_k": float(traj.xs[k]), "u_k": float(traj.us[k - 1])}
-                for k in range(1, len(traj.xs))
-            ]
+            us = [None, *map(float, traj.us)]  # no noise enters X_0
+            rows = [{"k": k, "x_k": float(x), "u_k": u}
+                    for k, (x, u) in enumerate(zip(traj.xs, us))]
             _write_table(out, fmt, "simulate", ["k", "x_k", "u_k"], rows)
         else:
             _write_atomic(out, traj.write_csv)
@@ -141,17 +138,12 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_bound(cfg: ExperimentConfig, args) -> int:
     block = cfg.block
-    epsilon = float(block["epsilon"])
-    n_grid = list(block["n_grid"])
-    replicas = int(block["replicas"])
-    paper_c = block.get("paper_c")
+    epsilon, n_grid, replicas, paper_c = (
+        block["epsilon"], block["n_grid"], block["replicas"], block["paper_c"])
     out, fmt = _resolve_output(cfg, args)
 
     choice = select_delta(cfg.spec, epsilon, n_probe=max(n_grid))
-    feasible_ns = [
-        n for n in n_grid if choice.feasible and n >= choice.feasible_from
-    ]
-    if not feasible_ns:
+    if not (choice.feasible and n_grid[-1] >= choice.feasible_from):
         raise InfeasibleError(
             f"margin condition infeasible for every n in the grid "
             f"(feasible_from={choice.feasible_from}, probed to {choice.n_probe})"
@@ -173,37 +165,26 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
             else None
         )
         paper_val = (
-            paper_form_bound(float(paper_c), epsilon, choice.delta, n)
+            paper_form_bound(paper_c, epsilon, choice.delta, n)
             if paper_c is not None
             else None
         )
-        p_hat = result.hits / replicas
         ci_low, ci_high = clopper_pearson(result.hits, replicas)
-        rows.append(
-            {
-                "n": n,
-                "epsilon": epsilon,
-                "delta": choice.delta,
-                "bound": bound_val,
-                "paper_form": paper_val,
-                "empirical": p_hat,
-                "ci_low": ci_low,
-                "ci_high": ci_high,
-                "replicas": replicas,
-            }
-        )
+        rows.append(dict(zip(columns, (
+            n, epsilon, choice.delta, bound_val, paper_val,
+            result.hits / replicas, ci_low, ci_high, replicas,
+        ))))
     _write_table(out, fmt, "bound", columns, rows)
     return EXIT_OK
 
 
 def _cmd_rate(cfg: ExperimentConfig, args) -> int:
-    block = cfg.block
-    target = block["target"]
-    replicas = int(block["replicas"])
+    target = cfg.block["target"]
     out, fmt = _resolve_output(cfg, args)
 
     curve = rate_curve(
-        target, cfg.spec, cfg.schedule, replicas, cfg.seed, workers=args.workers
+        target, cfg.spec, cfg.schedule, cfg.block["replicas"], cfg.seed,
+        workers=args.workers,
     )
     columns = [
         "n", "b_n", "threshold", "replicas", "hits", "p_hat", "ci_low",
@@ -230,21 +211,10 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
                     f"n={pt.n}: hits={pt.hits} outside 99.9% band [{lo}, {hi}] "
                     f"around exact p={exact}"
                 )
-        rows.append(
-            {
-                "n": pt.n,
-                "b_n": pt.b_n,
-                "threshold": pt.threshold,
-                "replicas": pt.replicas,
-                "hits": pt.hits,
-                "p_hat": pt.p_hat,
-                "ci_low": pt.ci_low,
-                "ci_high": pt.ci_high,
-                "rate": pt.rate,
-                "gaussian_rate": pt.reference_rate,
-                "limit_rate": curve.limit_rate,
-            }
-        )
+        rows.append(dict(zip(columns, (
+            pt.n, pt.b_n, pt.threshold, pt.replicas, pt.hits, pt.p_hat, pt.ci_low,
+            pt.ci_high, pt.rate, pt.reference_rate, curve.limit_rate,
+        ))))
     if fmt != "json":
         # footer row carrying the limit, marked in the n column
         rows.append({"n": "limit", "limit_rate": curve.limit_rate})
@@ -279,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--output", default=None, help="override output path")
-        p.add_argument("--format", default=None, choices=["csv", "json"])
+        p.add_argument("--format", default=None, choices=OUTPUT_FORMATS)
         p.add_argument("--workers", type=int, default=1,
                        help="max parallel workers for replica blocks")
         if name == "rate":
@@ -303,10 +273,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         raw = load_raw(args.config)
         raw = apply_overrides(raw, args.overrides)
         cfg = parse_config(raw, command=args.command)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:

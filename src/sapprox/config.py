@@ -17,8 +17,11 @@ One experiment per file.  Shape:
                    "n_grid": [...], "replicas": 1000000, "output": "rate.csv"}
     }
 
-Only the block of the command being run is required.  The seed is
-mandatory: there is no wall-clock fallback, every run must be
+Only the block of the command being run is required, and only it is
+parsed: parse_config returns its values with the defaults filled in
+(`record` true, `format` csv, `paper_c` null).  A field that the root,
+the drift or noise model, or that block does not have is an issue.  The
+seed is mandatory: there is no wall-clock fallback, every run must be
 reproducible from the file alone.
 
 This module checks JSON types only.  Value ranges are checked by the
@@ -32,15 +35,17 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Container, Optional
 
+from sapprox.engine import TARGETS
 from sapprox.mdp import Schedule, horizon_grid
 from sapprox.model import DRIFTS, NOISES, ParameterError, ProblemSpec
 
 SCHEMA_VERSION = 1
 
-RATE_TARGETS = ("recursion", "weighted_sum")
 OUTPUT_FORMATS = ("csv", "json")
+ROOT_FIELDS = ("schema_version", "seed", "drift", "noise", "b", "x0",
+               "simulate", "bound", "rate")
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,12 @@ class ExperimentConfig:
     seed: int
     spec: ProblemSpec
     command: Optional[str] = None
-    block: dict = field(default_factory=dict)
+    block: dict = field(default_factory=dict)  # the command's values, parsed
     schedule: Optional[Schedule] = None  # built for the rate command
 
 
 def load_raw(path) -> dict:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ConfigError([ConfigIssue("$", "config root must be a JSON object")])
@@ -125,11 +130,19 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _real(value: Any, path: str, issues: list[ConfigIssue]) -> Optional[float]:
-    if not _is_real(value):
-        issues.append(ConfigIssue(path, "must be a finite real number"))
+def _real(value: Any, path: str, issues: list[ConfigIssue], positive: bool = False,
+          message: str = "must be a finite real number") -> Optional[float]:
+    if not _is_real(value) or (positive and not value > 0):
+        issues.append(ConfigIssue(path, message))
         return None
     return float(value)
+
+
+def _int(value: Any, path: str, issues: list[ConfigIssue], minimum: int) -> Optional[int]:
+    if not _is_int(value) or value < minimum:
+        issues.append(ConfigIssue(path, f"must be an integer >= {minimum}"))
+        return None
+    return value
 
 
 def _construct(make: Callable, path_of: Callable[[str], str],
@@ -154,10 +167,18 @@ def _lookup(raw: dict, path: str) -> Any:
     return node
 
 
+def _unknown_fields(node: Any, prefix: str, known: Container[str],
+                    issues: list[ConfigIssue]) -> None:
+    """An issue for each key of the object `node` whose path is not known."""
+    if isinstance(node, dict):
+        issues.extend(ConfigIssue(prefix + key, "unknown field")
+                      for key in node if prefix + key not in known)
+
+
 def _build_model(raw: dict, section: str, registry: dict, issues: list[ConfigIssue],
                  path_of: Callable[[str], str]):
     """The drift or noise model of `section`: the class its kind names in
-    the registry, built from that class's fields."""
+    the registry, built from that class's fields, the only ones it may hold."""
     kind = _lookup(raw, f"{section}.kind")
     cls = registry.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -165,6 +186,12 @@ def _build_model(raw: dict, section: str, registry: dict, issues: list[ConfigIss
             ConfigIssue(f"{section}.kind", f"must be one of {tuple(registry)}")
         )
         return None
+    # the section holds its kind and fields, and the objects that hold fields
+    # (drift.parameters); sorted, as a set's order changes between runs
+    known = {f"{section}.kind", *(path_of(f.name) for f in fields(cls))}
+    parents = {path.rpartition(".")[0] for path in known}
+    for parent in sorted(parents):
+        _unknown_fields(_lookup(raw, parent), f"{parent}.", known | parents, issues)
     values = {}
     for f in fields(cls):
         value = _lookup(raw, path_of(f.name))
@@ -184,13 +211,8 @@ def _n_grid(block: dict, path: str, issues: list[ConfigIssue]) -> Optional[tuple
     return _construct(horizon_grid, lambda name: f"{path}.{name}", issues, grid)
 
 
-def _check_replicas(block: dict, path: str, issues: list[ConfigIssue]) -> None:
-    if not _is_int(block.get("replicas")) or block["replicas"] < 1:
-        issues.append(ConfigIssue(f"{path}.replicas", "must be an integer >= 1"))
-
-
-def _check_output(block: dict, path: str, issues: list[ConfigIssue],
-                  required: bool) -> None:
+def _output(block: dict, path: str, issues: list[ConfigIssue], required: bool) -> dict:
+    """The block's output path, None when absent, and its format."""
     out = block.get("output")
     if out is None:
         if required:
@@ -202,14 +224,17 @@ def _check_output(block: dict, path: str, issues: list[ConfigIssue],
         issues.append(
             ConfigIssue(f"{path}.format", f"must be one of {OUTPUT_FORMATS}")
         )
+    return {"output": out, "format": "csv" if fmt is None else fmt}
 
 
 def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
     """Validate the raw dict (for one command, when given) and build objects.
 
+    The command's block comes back parsed, with its defaults filled in.
     Raises ConfigError carrying every violation with its field path.
     """
     issues: list[ConfigIssue] = []
+    _unknown_fields(raw, "", ROOT_FIELDS, issues)
 
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -239,55 +264,50 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
     block: dict = {}
     schedule = None
     if command is not None:
-        block_raw = raw.get(command)
-        if not isinstance(block_raw, dict):
+        given = raw.get(command)
+        if not isinstance(given, dict):
             issues.append(ConfigIssue(command, f"missing '{command}' block"))
+        elif command == "simulate":
+            n = _int(given.get("n"), "simulate.n", issues, 0)
+            record = given.get("record", True)
+            if not isinstance(record, bool):
+                issues.append(ConfigIssue("simulate.record", "must be a boolean"))
+                record = True
+            block = {"n": n, "record": record,
+                     **_output(given, "simulate", issues, required=record)}
+        elif command == "bound":
+            paper_c = given.get("paper_c")
+            block = {
+                "epsilon": _real(given.get("epsilon"), "bound.epsilon", issues,
+                                 positive=True, message="must be a real number > 0"),
+                "n_grid": _n_grid(given, "bound", issues),
+                "replicas": _int(given.get("replicas"), "bound.replicas", issues, 1),
+                "paper_c": None if paper_c is None else _real(
+                    paper_c, "bound.paper_c", issues,
+                    positive=True, message="must be null or a real > 0"),
+                **_output(given, "bound", issues, required=True),
+            }
+        elif command == "rate":
+            target = given.get("target")
+            if target not in TARGETS:
+                issues.append(ConfigIssue("rate.target", f"must be one of {TARGETS}"))
+            gamma = _real(given.get("gamma"), "rate.gamma", issues)
+            r = _real(given.get("r"), "rate.r", issues)
+            grid = _n_grid(given, "rate", issues)
+            if None not in (gamma, r, grid):
+                schedule = _construct(Schedule, lambda name: f"rate.{name}",
+                                      issues, gamma, grid, r)
+            block = {"target": target, "gamma": gamma, "r": r, "n_grid": grid,
+                     "replicas": _int(given.get("replicas"), "rate.replicas", issues, 1),
+                     **_output(given, "rate", issues, required=True)}
+            if spec is not None and drift is not None:
+                try:
+                    spec.require_mdp_regime()
+                except ValueError as exc:
+                    issues.append(ConfigIssue("rate", str(exc)))
         else:
-            block = block_raw
-            if command == "simulate":
-                if not _is_int(block.get("n")) or block["n"] < 0:
-                    issues.append(
-                        ConfigIssue("simulate.n", "must be an integer >= 0")
-                    )
-                record = block.get("record", True)
-                if not isinstance(record, bool):
-                    issues.append(ConfigIssue("simulate.record", "must be a boolean"))
-                    record = True
-                _check_output(block, "simulate", issues, required=record)
-            elif command == "bound":
-                eps = block.get("epsilon")
-                if not _is_real(eps) or not eps > 0:
-                    issues.append(
-                        ConfigIssue("bound.epsilon", "must be a real number > 0")
-                    )
-                _n_grid(block, "bound", issues)
-                _check_replicas(block, "bound", issues)
-                paper_c = block.get("paper_c")
-                if paper_c is not None and (not _is_real(paper_c) or not paper_c > 0):
-                    issues.append(
-                        ConfigIssue("bound.paper_c", "must be null or a real > 0")
-                    )
-                _check_output(block, "bound", issues, required=True)
-            elif command == "rate":
-                if block.get("target") not in RATE_TARGETS:
-                    issues.append(
-                        ConfigIssue("rate.target", f"must be one of {RATE_TARGETS}")
-                    )
-                gamma = _real(block.get("gamma"), "rate.gamma", issues)
-                r = _real(block.get("r"), "rate.r", issues)
-                grid = _n_grid(block, "rate", issues)
-                if None not in (gamma, r, grid):
-                    schedule = _construct(Schedule, lambda name: f"rate.{name}",
-                                          issues, gamma, grid, r)
-                _check_replicas(block, "rate", issues)
-                _check_output(block, "rate", issues, required=True)
-                if spec is not None and drift is not None:
-                    try:
-                        spec.require_mdp_regime()
-                    except ValueError as exc:
-                        issues.append(ConfigIssue("rate", str(exc)))
-            else:
-                issues.append(ConfigIssue(command, f"unknown command {command!r}"))
+            issues.append(ConfigIssue(command, f"unknown command {command!r}"))
+        _unknown_fields(given, f"{command}.", {f"{command}.{key}" for key in block}, issues)
 
     if issues:
         raise ConfigError(issues)

@@ -222,6 +222,8 @@ def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica:
         if record:
             xs[k + 1] = x
             us[k] = u
+    if not math.isfinite(x):  # once a state is NaN or inf, every later one is
+        raise FloatingPointError(f"X_{n + 1} is not finite (the recursion overflowed float64)")
     if record:
         return Trajectory(xs=xs, us=us, spec=spec)
     return x - spec.drift.x_star
@@ -298,6 +300,11 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+# what a tail count follows: the deviation of the recursion, or the
+# weighted noise sum of its linearization
+TARGETS = ("recursion", "weighted_sum")
+
+
 @dataclass(frozen=True)
 class BatchResult:
     hits: int
@@ -306,7 +313,7 @@ class BatchResult:
 
 
 def _check_target(spec: ProblemSpec, target: str) -> None:
-    if target not in ("recursion", "weighted_sum"):
+    if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     if target == "weighted_sum":
         spec.require_mdp_regime()

@@ -99,6 +99,16 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    def test_directory_as_config_is_runtime_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_config_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config is not valid JSON: ")
+
     def test_all_violations_reported_together(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, b=-1.0)
         cfg["noise"] = {"kind": "rademacher", "sigma": -2.0}
@@ -150,6 +160,25 @@ class TestConfigValidation:
         assert main([command, "--config", str(cfg_path), "--set", override]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, override, path", [
+        ("simulate", "noise.sigm=3", "noise.sigm"),
+        ("simulate", "simulate.nn=3", "simulate.nn"),
+        ("simulate", "drift.parameters.alpha=-5", "drift.parameters.alpha"),
+        ("simulate", "drift.alpha1=-5", "drift.alpha1"),
+        ("rate", "rate.replica=5", "rate.replica"),
+        ("simulate", "zz=1", "zz"),
+    ])
+    def test_unknown_field_exits_2_with_path(self, tmp_path, capsys, command, override,
+                                             path):
+        cfg_path, _ = write_config(tmp_path)
+        assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+        assert f"config error: {path}: unknown field" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["exp.json"]
+
+    def test_other_commands_blocks_not_checked(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path), "--set", "rate.zz=1"]) == 0
+
     def test_unknown_kind_lists_registered_kinds(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg_path), "--set", "noise.kind=gauss",
@@ -197,6 +226,30 @@ class TestConfigValidation:
         cfg = parse_config(load_raw(path), command="simulate")
         assert cfg.spec.b == 2.0
         assert cfg.seed == 20240801
+
+    def test_parsed_block_fills_defaults(self, tmp_path):
+        _, raw = write_config(tmp_path, simulate={"n": 10, "output": "t.csv"})
+        del raw["bound"]["paper_c"]
+        assert parse_config(raw, command="simulate").block == {
+            "n": 10, "record": True, "output": "t.csv", "format": "csv"}
+        bound = parse_config(raw, command="bound").block
+        assert bound["paper_c"] is None and bound["format"] == "csv"
+        assert bound["n_grid"] == (500, 1000)
+        assert parse_config(raw, command="rate").block["format"] == "csv"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integer_numbers_give_the_bytes_of_floats(self, tmp_path, capsys, fmt):
+        path, _ = write_config(tmp_path)
+        runs = []
+        for value in ("2", "2.0"):
+            sets = [f"{key}={value}" for key in ("bound.epsilon", "bound.paper_c", "x0")]
+            argv = ["bound", "--config", str(path), "--format", fmt]
+            assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+            runs.append(((tmp_path / "bound.csv").read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        if fmt == "json":
+            assert json.loads(runs[0][0])["rows"][0]["epsilon"] == 2.0
+            assert b'"epsilon": 2.0' in runs[0][0]
 
 
 class TestSimulateCommand:
@@ -324,6 +377,22 @@ class TestOverflow:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "rate.csv").exists()
 
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("record", [True, False])
+    def test_overflowed_simulate_exits_1(self, tmp_path, capsys, record):
+        path, _ = write_config(
+            tmp_path,
+            drift={"kind": "linear", "parameters": {"alpha1": -1000.0},
+                   "x_star": 0.0},
+            simulate={"n": 1500, "record": record, "output": str(tmp_path / "traj.csv")},
+        )
+        assert main(["simulate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: FloatingPointError: X_1501 is not finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_overflowing_weights_exit_1(self, tmp_path, capsys):
         # c = -2000: the weight sum behind h_n overflows float64 at n = 1500
