@@ -112,14 +112,6 @@ class TailBound:
     block_term: float
     sum_term: float
 
-    @property
-    def pieces(self) -> dict:
-        return {
-            "envelope": self.envelope_term,
-            "block": self.block_term,
-            "sum": self.sum_term,
-        }
-
 
 def exp_inequality_bound(
     spec: ProblemSpec, epsilon: float, n: int, choice: DeltaChoice

@@ -6,6 +6,10 @@ Subcommands:
   rate       moderate-deviation rate curve over an n-grid
   selftest   fast invariant suites, exit 0 iff all pass
 
+--output and --format override the command's config block (config <
+--set < flag) before config.parse_config checks it; mdp.oracle_tail decides
+which rows the exact oracle covers.
+
 All randomness derives from the single seed in the config file; output is
 byte-identical across runs and worker counts.  Exit codes: 0 success,
 1 I/O or runtime failure, 2 config validation failure, 3 infeasibility.
@@ -25,7 +29,6 @@ from typing import Optional
 from sapprox import selftest as selftest_mod
 from sapprox.bounds import exp_inequality_bound, paper_form_bound, select_delta
 from sapprox.config import (
-    OUTPUT_FORMATS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -33,14 +36,7 @@ from sapprox.config import (
     parse_config,
 )
 from sapprox.engine import count_tail_hits_grid, envelope_bound, simulate
-from sapprox.mdp import (
-    ENUMERATION_MAX_N,
-    binomial_band,
-    clopper_pearson,
-    exact_tail_enumeration,
-    rate_curve,
-)
-from sapprox.model import Rademacher
+from sapprox.mdp import binomial_band, clopper_pearson, oracle_tail, rate_curve
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -111,22 +107,17 @@ def _write_table(path: Path, fmt: str, command: str, columns: list[str],
     _write_atomic(path, lambda fh: fh.write(payload))
 
 
-def _resolve_output(cfg: ExperimentConfig, args) -> tuple[Optional[Path], str]:
-    out = args.output or cfg.block["output"]
-    return (Path(out) if out else None, args.format or cfg.block["format"])
-
-
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     n = cfg.block["n"]
-    out, fmt = _resolve_output(cfg, args)
     _, env_sup = envelope_bound(cfg.spec, n)
     if cfg.block["record"]:
+        out = Path(cfg.block["output"])
         traj = simulate(cfg.spec, n, cfg.seed, record=True)
-        if fmt == "json":
+        if cfg.block["format"] == "json":
             us = [None, *map(float, traj.us)]  # no noise enters X_0
             rows = [{"k": k, "x_k": float(x), "u_k": u}
                     for k, (x, u) in enumerate(zip(traj.xs, us))]
-            _write_table(out, fmt, "simulate", ["k", "x_k", "u_k"], rows)
+            _write_table(out, "json", "simulate", ["k", "x_k", "u_k"], rows)
         else:
             _write_atomic(out, traj.write_csv)
         final_dev = traj.final_deviation
@@ -140,13 +131,12 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
     block = cfg.block
     epsilon, n_grid, replicas, paper_c = (
         block["epsilon"], block["n_grid"], block["replicas"], block["paper_c"])
-    out, fmt = _resolve_output(cfg, args)
 
     choice = select_delta(cfg.spec, epsilon, n_probe=max(n_grid))
-    if not (choice.feasible and n_grid[-1] >= choice.feasible_from):
+    if not choice.feasible:
         raise InfeasibleError(
             f"margin condition infeasible for every n in the grid "
-            f"(feasible_from={choice.feasible_from}, probed to {choice.n_probe})"
+            f"(probed to {choice.n_probe})"
         )
 
     columns = [
@@ -161,7 +151,7 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
     for n, result in zip(n_grid, results):
         bound_val = (
             exp_inequality_bound(cfg.spec, epsilon, n, choice).value
-            if choice.feasible and n >= choice.feasible_from
+            if n >= choice.feasible_from
             else None
         )
         paper_val = (
@@ -174,13 +164,12 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
             n, epsilon, choice.delta, bound_val, paper_val,
             result.hits / replicas, ci_low, ci_high, replicas,
         ))))
-    _write_table(out, fmt, "bound", columns, rows)
+    _write_table(Path(block["output"]), block["format"], "bound", columns, rows)
     return EXIT_OK
 
 
 def _cmd_rate(cfg: ExperimentConfig, args) -> int:
-    target = cfg.block["target"]
-    out, fmt = _resolve_output(cfg, args)
+    target, fmt = cfg.block["target"], cfg.block["format"]
 
     curve = rate_curve(
         target, cfg.spec, cfg.schedule, cfg.block["replicas"], cfg.seed,
@@ -193,13 +182,9 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
     oracle_failures = []
     rows = []
     for pt in curve.points:
-        if (
-            args.oracle
-            and target == "weighted_sum"
-            and isinstance(cfg.spec.noise, Rademacher)
-            and pt.n <= ENUMERATION_MAX_N
-        ):
-            exact = float(exact_tail_enumeration(cfg.spec, pt.n, pt.threshold))
+        tail = oracle_tail(cfg.spec, target, pt.n, pt.threshold) if args.oracle else None
+        if tail is not None:
+            exact = float(tail)
             lo, hi = binomial_band(exact, pt.replicas, confidence=0.999)
             ok = lo <= pt.hits <= hi
             print(
@@ -219,7 +204,8 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
         # footer row carrying the limit, marked in the n column
         rows.append({"n": "limit", "limit_rate": curve.limit_rate})
     _write_table(
-        out, fmt, "rate", columns, rows, extra={"limit_rate": curve.limit_rate}
+        Path(cfg.block["output"]), fmt, "rate", columns, rows,
+        extra={"limit_rate": curve.limit_rate},
     )
     if oracle_failures:
         raise OracleMismatch("; ".join(oracle_failures))
@@ -248,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "bound", "rate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--output", default=None, help="override output path")
-        p.add_argument("--format", default=None, choices=OUTPUT_FORMATS)
+        p.add_argument("--output", help=f"override {name}.output")
+        p.add_argument("--format", help=f"override {name}.format")
         p.add_argument("--workers", type=int, default=1,
                        help="max parallel workers for replica blocks")
         if name == "rate":
@@ -272,6 +258,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         raw = load_raw(args.config)
         raw = apply_overrides(raw, args.overrides)
+        block = raw.get(args.command)
+        if isinstance(block, dict):  # otherwise parse_config reports it
+            for key in ("output", "format"):  # flags override, as plain strings
+                if getattr(args, key) is not None:
+                    block[key] = getattr(args, key)
         cfg = parse_config(raw, command=args.command)
     except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)

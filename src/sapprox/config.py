@@ -67,12 +67,11 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment file plus the objects built from it."""
+    """A validated experiment: its seed, the problem built from it, and one
+    command's parsed block."""
 
-    raw: dict
     seed: int
     spec: ProblemSpec
-    command: Optional[str] = None
     block: dict = field(default_factory=dict)  # the command's values, parsed
     schedule: Optional[Schedule] = None  # built for the rate command
 
@@ -312,5 +311,4 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
     if issues:
         raise ConfigError(issues)
 
-    return ExperimentConfig(raw=raw, seed=int(seed), spec=spec, command=command,
-                            block=block, schedule=schedule)
+    return ExperimentConfig(seed=int(seed), spec=spec, block=block, schedule=schedule)

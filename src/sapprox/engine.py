@@ -289,9 +289,12 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
     env = np.empty(n + 2)
     env[0] = abs(spec.x0 - spec.drift.x_star)
     cur = env[0]
-    for k in range(n + 1):
-        cur = q[k] * cur + drive[k]
-        env[k + 1] = cur
+    # past float64 the envelope is inf, and stays inf past a zero factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            cur = q[k] * cur + drive[k]
+            env[k + 1] = cur
+    env[np.isnan(env)] = np.inf
     return env, float(np.max(env))
 
 

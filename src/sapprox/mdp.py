@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import special
@@ -251,6 +251,15 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     spec.require_mdp_regime()
     factors, steps = recurrence_factors(spec.b, spec.c, n)
     return _pattern_tail(factors, steps * spec.noise.sigma, threshold)
+
+
+def oracle_tail(spec: ProblemSpec, target: str, n: int, threshold: float) -> Optional[Fraction]:
+    """exact_tail_enumeration's P(|statistic| > threshold) where it covers
+    the row (weighted_sum target, Rademacher noise, n <= ENUMERATION_MAX_N),
+    else None."""
+    if target != "weighted_sum" or not isinstance(spec.noise, Rademacher) or n > ENUMERATION_MAX_N:
+        return None
+    return exact_tail_enumeration(spec, n, threshold)
 
 
 @dataclass(frozen=True)

@@ -378,8 +378,6 @@ class TestOverflow:
         assert not (tmp_path / "rate.csv").exists()
 
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("record", [True, False])
     def test_overflowed_simulate_exits_1(self, tmp_path, capsys, record):
         path, _ = write_config(
@@ -393,6 +391,26 @@ class TestOverflow:
         assert "error: FloatingPointError: X_1501 is not finite" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("n", [1500, 2500])
+    def test_overflowed_envelope_bound_exits_3(self, tmp_path, capsys, n):
+        # the envelope passes float64 before n = 1500, and at n = 2500 it
+        # also meets the zero factor of k = 1999: infeasible either way,
+        # with no numpy warning on the way
+        path, _ = write_config(
+            tmp_path,
+            drift={"kind": "linear", "parameters": {"alpha1": -1000.0},
+                   "x_star": 0.0},
+            bound={"epsilon": 3.0, "n_grid": [n], "replicas": 100,
+                   "output": str(tmp_path / "bound.csv")},
+        )
+        assert main(["bound", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "infeasible: margin condition infeasible for every n in the grid "
+            f"(probed to {n})\n")
+        assert captured.out == ""
+        assert not (tmp_path / "bound.csv").exists()
 
     def test_overflowing_weights_exit_1(self, tmp_path, capsys):
         # c = -2000: the weight sum behind h_n overflows float64 at n = 1500
@@ -408,6 +426,54 @@ class TestOverflow:
         assert "error: FloatingPointError: the product weights overflow float64" in err
         assert not (tmp_path / "rate.csv").exists()
 
+
+class TestOutputFlags:
+    """--output and --format override the command's block before it is
+    checked: config < --set < flag."""
+
+    @pytest.mark.parametrize("command", ["simulate", "bound", "rate"])
+    def test_output_flag_supplies_a_missing_output(self, tmp_path, command):
+        path, cfg = write_config(tmp_path)
+        del cfg[command]["output"]
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "flag.csv"
+        assert main([command, "--config", str(path), "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[0].startswith(("k,", "n,"))
+
+    def test_format_flag_overrides_the_config(self, tmp_path):
+        path, cfg = write_config(tmp_path)
+        cfg["rate"]["format"] = "xml"
+        path.write_text(json.dumps(cfg))
+        assert main(["rate", "--config", str(path), "--format", "json"]) == 0
+        assert json.loads((tmp_path / "rate.csv").read_text())["command"] == "rate"
+
+    def test_empty_output_flag_exits_2(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert main(["rate", "--config", str(path), "--output", ""]) == 2
+        assert "config error: rate.output: must be a non-empty string" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "rate.csv").exists()
+
+    def test_unknown_format_flag_exits_2(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert main(["rate", "--config", str(path), "--format", "xml"]) == 2
+        assert "config error: rate.format: must be one of" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_flag_wins_over_set(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["rate", "--config", str(path), "--set", f"rate.output={a}",
+                     "--output", str(b)]) == 0
+        assert b.exists() and not a.exists()
+        assert not (tmp_path / "rate.csv").exists()
+
+    def test_flag_values_are_strings(self, tmp_path, monkeypatch):
+        # a flag is never read as JSON, as a --set value is: "7" is a path
+        path, _ = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(path), "--output", "7"]) == 0
+        assert (tmp_path / "7").read_text().startswith("k,x_k,u_k\n")
 
 class TestBoundCommand:
     def test_rows_and_domination(self, tmp_path):

@@ -551,6 +551,14 @@ class TestEnvelope:
         fit = np.max(env[1:101] / shape[:100])
         assert np.all(env[1:] <= fit * shape * (1.0 + 1e-12))
 
+    def test_overflow_is_inf_without_warning(self):
+        # q_k = |1 - 2000/(k+1)| overflows float64 early and is 0 at k = 1999;
+        # the tests run with RuntimeWarning as an error
+        env, sup = envelope_bound(linear_spec(alpha1=-1000.0), 2500)
+        assert sup == math.inf
+        assert not np.any(np.isnan(env))
+        assert np.all(env[1999:] == math.inf)
+
 
 class TestSecondMomentIdentity:
     def test_enumerated_small_horizons(self):

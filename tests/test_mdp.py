@@ -17,6 +17,7 @@ from sapprox.mdp import (
     estimate_tail,
     exact_tail_enumeration,
     gaussian_reference,
+    oracle_tail,
     rate_curve,
 )
 from sapprox.model import (
@@ -166,6 +167,26 @@ class TestEnumeration:
             exact_tail_enumeration(tpa, 5, 0.1)
         with pytest.raises(ValueError):
             exact_tail_enumeration(rad_spec(), 23, 0.1)
+
+
+class TestOracleTail:
+    """Which rows the exact oracle covers, decided in one place."""
+
+    def test_covered_row_is_the_enumeration(self):
+        spec = rad_spec(b=2.0, alpha1=-1.0, sigma=0.7)
+        for t in support_midpoints(spec, 10, 5):
+            got = oracle_tail(spec, "weighted_sum", 10, float(t))
+            assert got == exact_tail_enumeration(spec, 10, float(t))
+            assert isinstance(got, Fraction)
+
+    def test_uncovered_rows_are_none(self):
+        tpa = ProblemSpec(
+            LinearDrift(-2.0, 0.0), TwoPointAdaptive(1.0, 0.4, 0.6), 1.0, 0.0
+        )
+        assert oracle_tail(rad_spec(), "recursion", 10, 0.1) is None
+        assert oracle_tail(tpa, "weighted_sum", 10, 0.1) is None
+        assert oracle_tail(rad_spec(), "weighted_sum", 23, 0.1) is None
+        assert oracle_tail(rad_spec(), "weighted_sum", 22, 0.1) is not None
 
 
 def around(values):
