@@ -5,90 +5,4 @@ and Monte Carlo / enumeration experiments for the moderate-deviation rate
 -r^2 / (2 sigma^2).
 """
 
-from sapprox.weights import (
-    SignedLogValue,
-    beta,
-    beta_bounds,
-    beta_value,
-    h_asymptotic,
-    h_norm,
-    weight_sum,
-)
-from sapprox.model import (
-    LinearDrift,
-    ProblemSpec,
-    Rademacher,
-    SineLinearDrift,
-    TwoPointAdaptive,
-    eval_g,
-    sample_noise,
-    validate_drift,
-)
-from sapprox.engine import (
-    Decomposition,
-    Trajectory,
-    envelope_bound,
-    simulate,
-    step,
-    taylor_decompose,
-    weighted_sum,
-)
-from sapprox.bounds import (
-    DeltaChoice,
-    TailBound,
-    azuma_tail,
-    exp_inequality_bound,
-    paper_form_bound,
-    select_delta,
-)
-from sapprox.mdp import (
-    Schedule,
-    TailEstimate,
-    clopper_pearson,
-    enumerate_signed_sum_tail,
-    estimate_tail,
-    exact_tail_enumeration,
-    gaussian_reference,
-    rate_curve,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "SignedLogValue",
-    "beta",
-    "beta_bounds",
-    "beta_value",
-    "h_asymptotic",
-    "h_norm",
-    "weight_sum",
-    "LinearDrift",
-    "SineLinearDrift",
-    "Rademacher",
-    "TwoPointAdaptive",
-    "ProblemSpec",
-    "eval_g",
-    "validate_drift",
-    "sample_noise",
-    "Trajectory",
-    "Decomposition",
-    "step",
-    "simulate",
-    "weighted_sum",
-    "taylor_decompose",
-    "envelope_bound",
-    "DeltaChoice",
-    "TailBound",
-    "azuma_tail",
-    "select_delta",
-    "exp_inequality_bound",
-    "paper_form_bound",
-    "Schedule",
-    "TailEstimate",
-    "clopper_pearson",
-    "enumerate_signed_sum_tail",
-    "estimate_tail",
-    "exact_tail_enumeration",
-    "gaussian_reference",
-    "rate_curve",
-]

@@ -69,22 +69,24 @@ def _json_safe(v):
 
 def _write_atomic(path: Path, write) -> None:
     """write(fh) into a temporary file beside path, then rename it over path,
-    so a failed write leaves any earlier file intact and nothing truncated."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    so a failed write leaves any earlier file intact and nothing truncated.
+    An OS error names path, never the temporary file."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            write(fh)
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                write(fh)
+            mask = os.umask(0)  # reading the umask means setting it
+            os.umask(mask)
+            os.chmod(tmp, 0o666 & ~mask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _write_table(path: Path, fmt: str, command: str, columns: list[str],
@@ -180,9 +182,12 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
         "ci_high", "rate", "gaussian_rate", "limit_rate",
     ]
     oracle_failures = []
+    uncovered = []
     rows = []
     for pt in curve.points:
         tail = oracle_tail(cfg.spec, target, pt.n, pt.threshold) if args.oracle else None
+        if args.oracle and tail is None:
+            uncovered.append(str(pt.n))
         if tail is not None:
             exact = float(tail)
             lo, hi = binomial_band(exact, pt.replicas, confidence=0.999)
@@ -200,6 +205,9 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
             pt.n, pt.b_n, pt.threshold, pt.replicas, pt.hits, pt.p_hat, pt.ci_low,
             pt.ci_high, pt.rate, pt.reference_rate, curve.limit_rate,
         ))))
+    if uncovered:
+        # "oracle:" rather than "oracle ", which starts a per-row line
+        print(f"oracle: rows n={', '.join(uncovered)} not covered")
     if fmt != "json":
         # footer row carrying the limit, marked in the n column
         rows.append({"n": "limit", "limit_rate": curve.limit_rate})

@@ -94,17 +94,15 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     bare-string fallback."""
     out = json.loads(json.dumps(raw))
     for item in assignments:
-        if "=" not in item:
-            raise ConfigError(
-                [ConfigIssue(item, "override must look like key.path=value")]
-            )
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
+        parts = key.split(".")
+        if not eq or "" in parts:
+            raise ConfigError([ConfigIssue(item, "override must look like key.path=value")])
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
         node = out
-        parts = key.split(".")
         for part in parts[:-1]:
             nxt = node.get(part)
             if not isinstance(nxt, dict):

@@ -142,91 +142,6 @@ def eval_g(drift: DriftFunction, x):
 
 
 @dataclass(frozen=True)
-class DriftViolation:
-    check: str
-    x: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class DriftValidationReport:
-    passed: bool
-    violations: tuple[DriftViolation, ...]
-
-
-def validate_drift(
-    drift: DriftFunction, grid_halfwidth: float, grid_points: int
-) -> DriftValidationReport:
-    """Check the drift conditions numerically on a uniform grid around x*.
-
-    Verifies K1|x-x*| <= |g(x)| <= K2|x-x*|, the curvature bound
-    |g''(x)| <= Ka (central second difference with step 1e-4, absolute
-    tolerance 1e-4), and the push-back sign (x-x*) g(x) <= 0.  Violations
-    are reported with the offending x, never raised.
-    """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    if not grid_halfwidth > 0:
-        raise ValueError(f"grid_halfwidth must be positive, got {grid_halfwidth}")
-    xs = drift.x_star + np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    u = xs - drift.x_star
-    g = eval_g(drift, xs)
-    absg = np.abs(g)
-    absu = np.abs(u)
-    # slack for float rounding only; the inequalities themselves are exact
-    slack = 1e-12 * np.maximum(1.0, absu)
-
-    violations: list[DriftViolation] = []
-
-    low_bad = absg < drift.K1 * absu - slack
-    if np.any(low_bad):
-        i = int(np.argmax(low_bad))
-        violations.append(
-            DriftViolation(
-                "lower_envelope",
-                float(xs[i]),
-                f"|g(x)|={absg[i]:.6g} < K1*|x-x*|={drift.K1 * absu[i]:.6g}",
-            )
-        )
-    high_bad = absg > drift.K2 * absu + slack
-    if np.any(high_bad):
-        i = int(np.argmax(high_bad))
-        violations.append(
-            DriftViolation(
-                "upper_envelope",
-                float(xs[i]),
-                f"|g(x)|={absg[i]:.6g} > K2*|x-x*|={drift.K2 * absu[i]:.6g}",
-            )
-        )
-
-    h = 1e-4
-    gpp = (eval_g(drift, xs + h) - 2.0 * g + eval_g(drift, xs - h)) / (h * h)
-    curv_bad = np.abs(gpp) > drift.Ka + 1e-4
-    if np.any(curv_bad):
-        i = int(np.argmax(curv_bad))
-        violations.append(
-            DriftViolation(
-                "curvature",
-                float(xs[i]),
-                f"|g''(x)|~{abs(gpp[i]):.6g} > Ka={drift.Ka:.6g}",
-            )
-        )
-
-    sign_bad = u * g > slack
-    if np.any(sign_bad):
-        i = int(np.argmax(sign_bad))
-        violations.append(
-            DriftViolation(
-                "push_back_sign",
-                float(xs[i]),
-                f"(x-x*)*g(x)={u[i] * g[i]:.6g} > 0",
-            )
-        )
-
-    return DriftValidationReport(not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
 class _Noise(_Model):
     """Noise with conditional second moment sigma^2; state 0 is the state
     before the first draw."""
@@ -346,12 +261,6 @@ NoiseModel = Union[Rademacher, TwoPointAdaptive]
 
 DRIFTS = {cls.kind: cls for cls in (LinearDrift, SineLinearDrift)}
 NOISES = {cls.kind: cls for cls in (Rademacher, TwoPointAdaptive)}
-
-
-def sample_noise(noise: NoiseModel, state: int, stream, k: int) -> tuple[float, int]:
-    """(u, next_state) of step k from a replica stream (engine.ReplicaStream);
-    |u| <= noise.Ku always."""
-    return noise.sample(state, stream, k)
 
 
 @dataclass(frozen=True)

@@ -23,3 +23,24 @@ def weighted_sums_over_signs(spec, n: int, signs: np.ndarray) -> np.ndarray:
         ck = spec.b / (k + 1.0)
         s = fk * s + ck * (sigma * signs[:, k])
     return s
+
+
+def drift_condition_failures(drift, halfwidth: float, points: int) -> list[str]:
+    """Names of the drift conditions that fail on a uniform grid of points
+    around x*: "lower_envelope" and "upper_envelope" (K1|u| <= |g| <= K2|u|),
+    "curvature" (|g''| <= Ka by a central second difference with step 1e-4,
+    to 1e-4) and "push_back_sign" (u g <= 0), with u = x - x*."""
+    xs = drift.x_star + np.linspace(-halfwidth, halfwidth, points)
+    u = xs - drift.x_star
+    g = drift(xs)
+    # slack for float rounding only; the inequalities themselves are exact
+    slack = 1e-12 * np.maximum(1.0, np.abs(u))
+    h = 1e-4
+    gpp = (drift(xs + h) - 2.0 * g + drift(xs - h)) / (h * h)
+    failed = {
+        "lower_envelope": np.abs(g) < drift.K1 * np.abs(u) - slack,
+        "upper_envelope": np.abs(g) > drift.K2 * np.abs(u) + slack,
+        "curvature": np.abs(gpp) > drift.Ka + 1e-4,
+        "push_back_sign": u * g > slack,
+    }
+    return [name for name, bad in failed.items() if bad.any()]

@@ -221,6 +221,14 @@ class TestConfigValidation:
         assert out["drift"]["x_star"] == -1.0
         assert raw["b"] == 2.0  # original untouched
 
+    @pytest.mark.parametrize("override", [".seed=3", "seed.=3", "=3", "seed"])
+    def test_malformed_override_exits_2_naming_it(self, tmp_path, capsys, override):
+        path, _ = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {override}: override must look like key.path=value\n"
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_parse_builds_spec(self, tmp_path):
         path, _ = write_config(tmp_path)
         cfg = parse_config(load_raw(path), command="simulate")
@@ -349,6 +357,18 @@ class TestAtomicOutput:
         assert main(args) == 1
         assert (tmp_path / name).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == listing
+
+    @pytest.mark.parametrize("name", ["missing/rate.csv", "adir"])
+    def test_unwritable_output_names_the_output(self, tmp_path, capsys, name):
+        path, _ = write_config(tmp_path)
+        (tmp_path / "adir").mkdir()
+        listing = sorted(os.listdir(tmp_path))
+        out = tmp_path / name
+        assert main(["rate", "--config", str(path), "--output", str(out)]) == 1
+        assert sorted(os.listdir(tmp_path)) == listing
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(out) in err
+        assert ".tmp" not in err
 
     def test_output_mode_follows_umask(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -535,6 +555,27 @@ class TestRateCommand:
             "n,b_n,threshold,replicas,hits,p_hat,ci_low,ci_high,rate,"
             "gaussian_rate,limit_rate"
         )
+
+    @pytest.mark.parametrize("overrides, uncovered", [
+        ([], "40"),
+        (["rate.target=recursion"], "12, 40"),
+        (['noise={"kind": "two_point_adaptive", "sigma": 1.0, "p_min": 0.3, '
+          '"p_max": 0.7}'], "12, 40"),
+        (["rate.n_grid=[12, 16]"], None),
+    ])
+    def test_oracle_names_uncovered_rows(self, tmp_path, capsys, overrides, uncovered):
+        path, _ = write_config(tmp_path)
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["rate", "--config", str(path), "--oracle", *sets]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in lines if line.startswith("oracle:")]
+        if uncovered is None:
+            assert notes == []
+        else:
+            assert notes == [f"oracle: rows n={uncovered} not covered"]
+            assert lines[-1] == notes[0]  # after the per-row lines
+        assert main(["rate", "--config", str(path), *sets]) == 0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["simulate", "bound"])
     def test_oracle_only_on_rate(self, tmp_path, command):

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_strategies import DRIFT_MODELS, NOISE_MODELS
+from references import drift_condition_failures
 
 from sapprox.engine import ReplicaStream, batch_final_deviations
 from sapprox.model import (
@@ -11,8 +15,6 @@ from sapprox.model import (
     SineLinearDrift,
     TwoPointAdaptive,
     eval_g,
-    sample_noise,
-    validate_drift,
 )
 
 
@@ -62,22 +64,23 @@ class TestEvalG:
         assert np.array_equal(got, want)
 
 
-class TestValidateDrift:
+class TestDriftConditions:
     def test_linear_clean(self):
-        report = validate_drift(LinearDrift(-1.0, 0.0), 10.0, 1001)
-        assert report.passed and not report.violations
+        assert drift_condition_failures(LinearDrift(-1.0, 0.0), 10.0, 1001) == []
 
     def test_sine_linear_clean_wide_grid(self):
-        report = validate_drift(SineLinearDrift(2.0, 1.0, 0.0), 20.0, 4001)
-        assert report.passed and not report.violations
+        assert drift_condition_failures(SineLinearDrift(2.0, 1.0, 0.0), 20.0, 4001) == []
 
     def test_shifted_root_clean(self):
-        report = validate_drift(SineLinearDrift(3.0, 1.2, 2.5), 15.0, 2001)
-        assert report.passed
+        assert drift_condition_failures(SineLinearDrift(3.0, 1.2, 2.5), 15.0, 2001) == []
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            validate_drift(LinearDrift(-1.0), 1.0, 2)
+    @pytest.mark.parametrize("kind", sorted(DRIFT_MODELS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_analytic_constants_hold(self, kind, data):
+        # every registered kind's K1, K2 and Ka against its g on a grid
+        drift = data.draw(DRIFT_MODELS[kind])
+        assert drift_condition_failures(drift, 10.0, 2001) == []
 
     def test_detects_planted_violation(self):
         # a drift whose claimed K1 exceeds the true lower envelope
@@ -86,9 +89,7 @@ class TestValidateDrift:
             def K1(self):
                 return self.c1  # claims sin never cancels anything
 
-        report = validate_drift(Bad(2.0, 1.0, 0.0), 10.0, 2001)
-        assert not report.passed
-        assert any(v.check == "lower_envelope" for v in report.violations)
+        assert "lower_envelope" in drift_condition_failures(Bad(2.0, 1.0, 0.0), 10.0, 2001)
 
     def test_detects_curvature_violation(self):
         class Flat(SineLinearDrift):
@@ -96,8 +97,7 @@ class TestValidateDrift:
             def Ka(self):
                 return 0.0
 
-        report = validate_drift(Flat(2.0, 1.0, 0.0), 10.0, 2001)
-        assert any(v.check == "curvature" for v in report.violations)
+        assert "curvature" in drift_condition_failures(Flat(2.0, 1.0, 0.0), 10.0, 2001)
 
 
 class TestNoiseModels:
@@ -151,7 +151,7 @@ class TestSampleNoise:
     def test_rademacher_values(self):
         noise = Rademacher(2.0)
         stream = ReplicaStream(123, 0)
-        values = {sample_noise(noise, 0, stream, k)[0] for k in range(200)}
+        values = {noise.sample(0, stream, k)[0] for k in range(200)}
         assert values == {2.0, -2.0}
 
     def test_two_point_state_transitions(self):
@@ -159,12 +159,28 @@ class TestSampleNoise:
         stream = ReplicaStream(9, 0)
         state = noise.initial_state()
         for k in range(300):
-            u, next_state = sample_noise(noise, state, stream, k)
+            u, next_state = noise.sample(state, stream, k)
             assert next_state == (1 if u > 0 else -1)
             p = noise.p_for_state(state)
             assert u in noise.outcomes(p)
             assert abs(u) <= noise.Ku
             state = next_state
+
+    @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_draws_bounded_by_ku(self, kind, data):
+        noise = data.draw(NOISE_MODELS[kind])
+        stream = ReplicaStream(data.draw(st.integers(0, 2**64 - 1)), 0)
+        state = noise.initial_state()
+        for k in range(300):
+            if isinstance(noise, TwoPointAdaptive):
+                support = noise.outcomes(noise.p_for_state(state))
+            else:
+                support = (noise.sigma, -noise.sigma)
+            u, state = noise.sample(state, stream, k)
+            assert u in support
+            assert abs(u) <= noise.Ku
 
     def test_bounded_over_many_draws(self):
         # 1e6 draws through the batch path; adversarial states arise from
