@@ -113,15 +113,12 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     n = cfg.block["n"]
     _, env_sup = envelope_bound(cfg.spec, n)
     if cfg.block["record"]:
-        out = Path(cfg.block["output"])
         traj = simulate(cfg.spec, n, cfg.seed, record=True)
-        if cfg.block["format"] == "json":
-            us = [None, *map(float, traj.us)]  # no noise enters X_0
-            rows = [{"k": k, "x_k": float(x), "u_k": u}
-                    for k, (x, u) in enumerate(zip(traj.xs, us))]
-            _write_table(out, "json", "simulate", ["k", "x_k", "u_k"], rows)
-        else:
-            _write_atomic(out, traj.write_csv)
+        us = [None, *map(float, traj.us)]  # no noise enters X_0
+        rows = [{"k": k, "x_k": float(x), "u_k": u}
+                for k, (x, u) in enumerate(zip(traj.xs, us))]
+        _write_table(Path(cfg.block["output"]), cfg.block["format"], "simulate",
+                     ["k", "x_k", "u_k"], rows)
         final_dev = traj.final_deviation
     else:
         final_dev = simulate(cfg.spec, n, cfg.seed, record=False)

@@ -91,7 +91,8 @@ def canonical_json(raw: dict) -> str:
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Apply --set key.path=value overrides; values parse as JSON with a
-    bare-string fallback."""
+    bare-string fallback.  Missing objects on the path are created; a value
+    on the path that is not an object is an issue, never replaced."""
     out = json.loads(json.dumps(raw))
     for item in assignments:
         key, eq, value = item.partition("=")
@@ -103,12 +104,14 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         except json.JSONDecodeError:
             parsed = value
         node = out
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+        for i, part in enumerate(parts[:-1]):
+            if part not in node:
+                node[part] = {}
+            elif not isinstance(node[part], dict):
+                prefix = ".".join(parts[:i + 1])
+                raise ConfigError([ConfigIssue(
+                    item, f"{prefix} is not an object, so it has no field {parts[i + 1]}")])
+            node = node[part]
         node[parts[-1]] = parsed
     return out
 

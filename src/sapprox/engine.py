@@ -169,13 +169,6 @@ class Trajectory:
     def final_deviation(self) -> float:
         return float(self.xs[-1]) - self.spec.drift.x_star
 
-    def write_csv(self, fh) -> None:
-        """Rows k, x_k, u_k; u_0 is empty (no noise enters X_0)."""
-        fh.write("k,x_k,u_k\n")
-        fh.write(f"0,{self.xs[0]:.17g},\n")
-        for k in range(1, len(self.xs)):
-            fh.write(f"{k},{self.xs[k]:.17g},{self.us[k - 1]:.17g}\n")
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -525,14 +518,14 @@ def count_tail_hits(
 ) -> BatchResult:
     """Count replicas whose final |deviation| exceeds the threshold.
 
-    inclusive selects >= instead of >.  When an envelope array is given,
-    |X_k - x*| <= B_k is also checked at every step of every path and the
-    number of violating (path, step) pairs is returned.  Hit counts are
-    exact integers accumulated in replica-block order, so the result does
-    not depend on worker count.  Without an envelope, linear drift with
-    Rademacher noise is counted in closed form (_LinearRademacherTail) with
-    the same hits as the sequential recurrence.  Raises FloatingPointError
-    if any final deviation is NaN or infinite.
+    inclusive selects >= instead of >.  When an envelope array B_0..B_{n+1}
+    is given (target "recursion" only), |X_k - x*| <= B_k is also checked at
+    every step of every path and the number of violating (path, step) pairs
+    is returned.  Hit counts are exact integers accumulated in replica-block
+    order, so the result does not depend on worker count.  Without an
+    envelope, linear drift with Rademacher noise is counted in closed form
+    (_LinearRademacherTail) with the same hits as the sequential recurrence.
+    Raises FloatingPointError if any final deviation is NaN or infinite.
     """
     return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
                                 inclusive, workers, envelope)[0]
@@ -573,6 +566,14 @@ def count_tail_hits_grid(
             f"need one threshold per horizon, got {len(thresholds)} for "
             f"{len(horizons)} horizons"
         )
+    if envelope is not None:
+        if target == "weighted_sum":
+            raise ValueError("an envelope bounds |X_k - x*|; target 'weighted_sum' has none")
+        if len(envelope) < horizons[-1] + 2:
+            raise ValueError(
+                f"envelope needs B_0..B_{{n+1}}, {horizons[-1] + 2} entries for "
+                f"horizon {horizons[-1]}, got {len(envelope)}"
+            )
     closed_forms = None
     if (envelope is None and isinstance(spec.drift, LinearDrift)
             and isinstance(spec.noise, Rademacher)):

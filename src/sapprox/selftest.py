@@ -38,7 +38,7 @@ def _check_sandwich() -> Optional[str]:
             continue
         k = int(rng.integers(k_min, n + 1))
         lower, upper = weights.beta_bounds(c, k, n)
-        val = weights.beta(c, k, n).value()
+        val = weights.beta(c, k, n)
         if not lower <= val <= upper:
             return f"violated at c={c}, k={k}, n={n}: {lower} <= {val} <= {upper}"
         checked += 1

@@ -12,63 +12,24 @@ factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
 
 together with the closed-form sandwich bounds on beta and the large-n
 reference sqrt((-2c-1)*n)/b for h_norm.  The linearized step
-d <- f_k d + a_k U_{k+1} and every product of its factors use the floats of
-recurrence_factors, multiplied from the last factor backwards
-(suffix_products), in O(n) time and memory.
-
-For c < -1 the first few factors are zero or negative, so products are
-carried in sign-and-log-magnitude form rather than assuming positivity.
+d <- f_k d + a_k U_{k+1} and every product of its factors, beta included,
+use the floats of recurrence_factors, multiplied from the last factor
+backwards (suffix_products), in O(n) time and memory.  For c < -1 the
+first factors are zero or negative, so products may be zero or change
+sign; for large -c they overflow float64 to +-inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# Factors are consumed in chunks so horizons up to ~1e8 stay fast and
-# memory-bounded.
-_CHUNK = 1 << 20
 
+def beta(c: float, k: int, n: int) -> float:
+    """Product f_n * ... * f_k of the factors f_j = 1 + c/(j+1).
 
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as (sign, log|x|) so huge products never
-    overflow or underflow.
-
-    sign is 0 exactly when the value is zero, in which case log_magnitude
-    is -inf.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if (self.sign == 0) != (self.log_magnitude == -math.inf):
-            raise ValueError(
-                "sign = 0 exactly when log_magnitude = -inf; got "
-                f"sign={self.sign}, log_magnitude={self.log_magnitude}"
-            )
-
-    @classmethod
-    def from_value(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(-math.inf, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def value(self) -> float:
-        """Materialize to a float (may overflow to +-inf for huge magnitudes)."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-
-def beta(c: float, k: int, n: int) -> SignedLogValue:
-    """Product of (1 + c/(j+1)) over j = k..n in sign/log space.
-
+    Bitwise the product that recursion_weights and weight_sum multiply by.
     The empty product (k > n) is 1.  Total on c < 0, k >= 0, n >= 0.
     """
     if not c < 0:
@@ -76,26 +37,9 @@ def beta(c: float, k: int, n: int) -> SignedLogValue:
     if k < 0 or n < 0:
         raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
     if k > n:
-        return SignedLogValue(0.0, 1)
-    log_mag = 0.0
-    sign = 1
-    lo = k
-    while lo <= n:
-        hi = min(lo + _CHUNK, n + 1)
-        j = np.arange(lo, hi, dtype=np.float64)
-        f = 1.0 + c / (j + 1.0)
-        if np.any(f == 0.0):
-            return SignedLogValue(-math.inf, 0)
-        if np.count_nonzero(f < 0.0) % 2:
-            sign = -sign
-        log_mag += float(np.sum(np.log(np.abs(f))))
-        lo = hi
-    return SignedLogValue(log_mag, sign)
-
-
-def beta_value(c: float, k: int, n: int) -> float:
-    """beta(c, k, n) materialized to a float."""
-    return beta(c, k, n).value()
+        return 1.0
+    f = recurrence_factors(1.0, c, n)[0][k:]
+    return float(f[0] * suffix_products(f)[0])
 
 
 def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:

@@ -34,7 +34,7 @@ from sapprox.model import (
     SineLinearDrift,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta_bounds, beta_value, h_asymptotic, h_norm
+from sapprox.weights import beta, beta_bounds, h_asymptotic, h_norm
 
 
 def _sign_mags(weights_arr):
@@ -84,7 +84,7 @@ def test_criterion_01_product_sandwich():
                 continue
             k = int(rng.integers(k_min, n + 1))
             lower, upper = beta_bounds(c, k, n)
-            val = beta_value(c, k, n)
+            val = beta(c, k, n)
             assert lower <= val <= upper, (c, k, n, lower, val, upper)
             checked += 1
 

@@ -13,7 +13,6 @@ from sapprox import weights
 from sapprox.cli import main
 from sapprox.config import apply_overrides, canonical_json, load_raw, parse_config
 from sapprox.model import DRIFTS, NOISES
-from sapprox.weights import SignedLogValue
 
 
 def write_config(tmp_path, **kwargs):
@@ -215,8 +214,10 @@ class TestConfigValidation:
     def test_overrides_parse_json_values(self, tmp_path):
         path, _ = write_config(tmp_path)
         raw = load_raw(path)
-        out = apply_overrides(raw, ["b=3.5", "simulate.n=20", "drift.x_star=-1.0"])
+        out = apply_overrides(raw, ["b=3.5", "simulate.n=20", "drift.x_star=-1.0",
+                                    "extra.deep.field=1"])
         assert out["b"] == 3.5
+        assert out["extra"] == {"deep": {"field": 1}}  # missing objects created
         assert out["simulate"]["n"] == 20
         assert out["drift"]["x_star"] == -1.0
         assert raw["b"] == 2.0  # original untouched
@@ -228,6 +229,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err == f"config error: {override}: override must look like key.path=value\n"
         assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("override, parent, child", [
+        ("b.x=1", "b", "x"),
+        ("rate.n_grid.0=5", "rate.n_grid", "0"),
+    ])
+    def test_override_through_a_non_object_exits_2_naming_it(
+            self, tmp_path, capsys, override, parent, child):
+        path, _ = write_config(tmp_path)
+        assert main(["rate", "--config", str(path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {override}: {parent} is not an object, "
+                       f"so it has no field {child}\n")
 
     def test_parse_builds_spec(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -267,6 +280,7 @@ class TestSimulateCommand:
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "k,x_k,u_k"
         assert len(lines) == 1 + 12  # states X_0..X_11 for n = 10
+        assert lines[1].endswith(",")  # u_0 empty
         out = capsys.readouterr().out
         assert "final_deviation=" in out and "envelope_F=" in out
 
@@ -629,8 +643,7 @@ class TestSelftestCommand:
         real_beta = weights.beta
 
         def flipped(c, k, n):
-            out = real_beta(c, k, n)
-            return SignedLogValue(out.log_magnitude, -out.sign) if out.sign else out
+            return -real_beta(c, k, n)
 
         monkeypatch.setattr(weights, "beta", flipped)
         assert main(["selftest"]) == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from model_strategies import specs
 from references import weighted_sums_over_signs
 
+from sapprox import engine as engine_mod
 from sapprox.engine import (
     BLOCK,
     BlockStream,
@@ -34,7 +35,7 @@ from sapprox.model import (
     SineLinearDrift,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta_value, h_norm
+from sapprox.weights import beta, h_norm
 
 
 def linear_spec(alpha1=-1.0, b=2.0, sigma=1.0, x0=1.0, x_star=0.0):
@@ -124,7 +125,7 @@ class TestSimulate:
         x = spec.x0
         for k in range(201):
             x = step(spec, x, k, 0.0)
-        want = beta_value(spec.c, 0, 200) * spec.x0
+        want = beta(spec.c, 0, 200) * spec.x0
         assert x == pytest.approx(want, rel=1e-12)
 
     def test_record_off_matches_final(self):
@@ -136,17 +137,6 @@ class TestSimulate:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             simulate(linear_spec(), -1, 0)
-
-    def test_trajectory_csv_shape(self, tmp_path):
-        spec = linear_spec()
-        traj = simulate(spec, 10, 7, record=True)
-        out = tmp_path / "t.csv"
-        with open(out, "w") as fh:
-            traj.write_csv(fh)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "k,x_k,u_k"
-        assert len(lines) == 13  # header + 12 states
-        assert lines[1].endswith(",")  # u_0 empty
 
 
 class TestWeightedSum:
@@ -180,7 +170,7 @@ class TestWeightedSum:
             [spec.noise.sigma * traj_stream.rademacher_sign(k) for k in range(n + 1)]
         )
         w = np.array(
-            [spec.b * beta_value(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
+            [spec.b * beta(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
         )
         assert weighted_sum(spec, n, 4) == pytest.approx(float(w @ us), rel=1e-12)
 
@@ -431,7 +421,9 @@ class TestTailGrid:
             else:
                 thresholds.append(data.draw(st.floats(0.0, 3.0)))
         envelope = None
-        scale = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
+        scale = None  # an envelope bounds the recursion only
+        if target == "recursion":
+            scale = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
         if scale is not None:  # scaled down, so violations occur
             envelope = scale * envelope_bound(spec, horizons[-1])[0]
         got = count_tail_hits_grid(spec, target, horizons, thresholds, seed, replicas,
@@ -466,6 +458,27 @@ class TestTailGrid:
     def test_rejects_no_replicas(self):
         with pytest.raises(ValueError):
             count_tail_hits_grid(sine_spec(), "recursion", (5,), (1.0,), 0, 0)
+
+    def test_rejects_short_envelope_before_stepping(self, monkeypatch):
+        spec = sine_spec()
+        env, _ = envelope_bound(spec, 1000)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(engine_mod, "_run_block", no_block)
+        with pytest.raises(ValueError, match="52 entries for horizon 50, got 10"):
+            count_tail_hits(spec, "recursion", 50, 1, 1000, 0.5, envelope=env[:10])
+        with pytest.raises(ValueError, match="52 entries"):
+            count_tail_hits_grid(spec, "recursion", (5, 50), (0.5, 0.5), 1, 1000,
+                                 envelope=env[:51])
+
+    def test_rejects_envelope_on_weighted_sum(self):
+        # the weighted sum has no |X_k - x*| to bound
+        spec = linear_spec()
+        with pytest.raises(ValueError, match="weighted_sum"):
+            count_tail_hits(spec, "weighted_sum", 50, 1, 1000, 0.5,
+                            envelope=np.zeros(52))
 
 
 class TestTaylorDecompose:

@@ -26,7 +26,7 @@ from sapprox.model import (
     Rademacher,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta_value, h_norm
+from sapprox.weights import beta, h_norm
 
 
 def rad_spec(b=1.0, alpha1=-2.0, sigma=1.0, x0=0.0):
@@ -152,7 +152,7 @@ class TestEnumeration:
         spec = rad_spec()
         n = 8
         w = np.array(
-            [spec.b * beta_value(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
+            [spec.b * beta(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
         )
         for t in support_midpoints(spec, n, 7):
             assert exact_tail_enumeration(spec, n, float(t)) == enumerate_signed_sum_tail(
@@ -268,7 +268,7 @@ class TestEstimateTail:
         spec = rad_spec()
         n = 10
         max_stat = sum(
-            abs(spec.b * beta_value(spec.c, k + 1, n) / (k + 1)) for k in range(n + 1)
+            abs(spec.b * beta(spec.c, k + 1, n) / (k + 1)) for k in range(n + 1)
         )
         h = h_norm(spec.b, spec.c, n)
         b_n = 2.0
@@ -309,7 +309,7 @@ class TestEstimateTail:
             h = h_norm(spec.b, spec.c, n)
             mids = list(support_midpoints(spec, n, 10)) if n >= 2 else []
             top = sum(
-                abs(spec.b * beta_value(spec.c, k + 1, n) / (k + 1))
+                abs(spec.b * beta(spec.c, k + 1, n) / (k + 1))
                 for k in range(n + 1)
             )
             thresholds = ([0.5 * top, 1.1 * top] + mids)[:10]

@@ -8,17 +8,18 @@ anywhere fails here.
 """
 
 import hashlib
-import io
+import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sapprox.cli import main
 from sapprox.engine import (
     batch_final_deviations,
     count_tail_hits_grid,
     envelope_bound,
-    simulate,
     weighted_sum,
 )
 from sapprox.mdp import exact_tail_enumeration
@@ -162,9 +163,16 @@ def test_tail_hits_grid_with_envelope(noise, want):
     ("two_point", "9042f7b85e8669474170961f605aba997c2184181bffd4efd255e955601dc164",
      ["0x1.199999999999ap+1", "-0x1.f290bdd37f370p-4", "0x1.890479f845785p-7"]),
 ])
-def test_scalar_paths(noise, csv_sha, sums):
+def test_scalar_paths(noise, csv_sha, sums, tmp_path):
     spec = linear_spec(noise)
-    buf = io.StringIO()
-    simulate(spec, 200, 99, record=True).write_csv(buf)
-    assert sha256(buf.getvalue().encode()) == csv_sha
+    # the recorded path of linear_spec(noise) as `sapprox simulate` writes it
+    config = {
+        "schema_version": 1, "seed": 99, "b": 2.0, "x0": 1.25,
+        "drift": {"kind": "linear", "parameters": {"alpha1": -0.8}, "x_star": 0.5},
+        "noise": {"kind": spec.noise.kind, **asdict(spec.noise)},
+        "simulate": {"n": 200, "output": str(tmp_path / "path.csv")},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 0
+    assert sha256((tmp_path / "path.csv").read_bytes()) == csv_sha
     assert [weighted_sum(spec, n, 99, replica=7).hex() for n in (0, 64, 300)] == sums

@@ -5,19 +5,19 @@ import pytest
 
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import (
-    SignedLogValue,
     beta,
     beta_bounds,
-    beta_value,
     h_asymptotic,
     h_norm,
+    recurrence_factors,
     recursion_weights,
+    suffix_products,
     weight_sum,
 )
 
 
 def beta_direct(c, k, n):
-    """Oracle: plain sequential float product, no log space."""
+    """Oracle: plain sequential float product, multiplied forwards."""
     p = 1.0
     for j in range(k, n + 1):
         p *= 1.0 + c / (j + 1.0)
@@ -29,49 +29,23 @@ def weight_sum_naive(c, n):
     return sum(beta_direct(c, k + 1, n) ** 2 / (k + 1) ** 2 for k in range(n + 1))
 
 
-class TestSignedLogValue:
-    def test_zero_iff_log_inf(self):
-        SignedLogValue(-math.inf, 0)
-        SignedLogValue(0.0, 1)
-        with pytest.raises(ValueError):
-            SignedLogValue(-math.inf, 1)
-        with pytest.raises(ValueError):
-            SignedLogValue(0.0, 0)
-        with pytest.raises(ValueError):
-            SignedLogValue(0.0, 2)
-
-    def test_round_trip(self):
-        # exp(log(x)) drifts by ~|log x| * eps relative, nothing more
-        for x in (1.0, -1.0, 0.5, -3.25e-200, 7.1e200, 0.0):
-            slv = SignedLogValue.from_value(x)
-            back = slv.value()
-            assert math.copysign(1.0, back) == math.copysign(1.0, x) or x == 0.0
-            if x != 0.0:
-                budget = (abs(math.log(abs(x))) + 2.0) * np.finfo(float).eps
-                assert abs(back - x) <= budget * abs(x)
-
-
 class TestBeta:
     def test_single_factor(self):
-        assert beta_value(-1.5, 2, 2) == pytest.approx(0.5, rel=1e-15)
+        assert beta(-1.5, 2, 2) == pytest.approx(0.5, rel=1e-15)
 
     def test_empty_product(self):
-        slv = beta(-1.5, 3, 2)
-        assert slv.sign == 1 and slv.log_magnitude == 0.0
-        assert slv.value() == 1.0
+        assert beta(-1.5, 3, 2) == 1.0
 
     def test_zero_factor(self):
-        slv = beta(-2.0, 1, 1)
-        assert slv.sign == 0
-        assert slv.value() == 0.0
+        assert beta(-2.0, 1, 1) == 0.0
 
     def test_nine_factor_product(self):
         # oracle: beta_direct(-1.5, 2, 10) = 0.0640716552734375
-        assert beta_value(-1.5, 2, 10) == pytest.approx(0.0640716552734375, rel=1e-12)
+        assert beta(-1.5, 2, 10) == pytest.approx(0.0640716552734375, rel=1e-12)
 
     def test_negative_sign_region(self):
         # c = -3.5: factor at j = 0 is 1 - 3.5 = -2.5, j = 1 is -0.75, ...
-        val = beta_value(-3.5, 0, 5)
+        val = beta(-3.5, 0, 5)
         assert val == pytest.approx(beta_direct(-3.5, 0, 5), rel=1e-12)
 
     def test_rejects_bad_args(self):
@@ -80,33 +54,39 @@ class TestBeta:
         with pytest.raises(ValueError):
             beta(-1.0, -1, 4)
 
-    def test_log_space_fidelity_small_n(self):
+    def test_matches_forward_product_small_n(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
             c = float(-rng.uniform(0.01, 5.0))
             n = int(rng.integers(0, 31))
             k = int(rng.integers(0, n + 1))
             want = beta_direct(c, k, n)
-            got = beta_value(c, k, n)
+            got = beta(c, k, n)
             if want == 0.0:
                 assert got == 0.0
             else:
                 assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_recurrence_in_sign_log_space(self):
+    def test_recurrence_exact(self):
+        # one more factor in front is one more float multiplication
         rng = np.random.default_rng(7)
         for _ in range(200):
             c = float(-rng.uniform(0.01, 5.0))
             n = int(rng.integers(1, 400))
             k = int(rng.integers(0, n))
-            whole = beta(c, k, n)
-            tail = beta(c, k + 1, n)
-            factor = SignedLogValue.from_value(1.0 + c / (k + 1.0))
-            assert whole.sign == factor.sign * tail.sign
-            if whole.sign != 0:
-                assert whole.log_magnitude == pytest.approx(
-                    factor.log_magnitude + tail.log_magnitude, abs=1e-10
-                )
+            assert beta(c, k, n) == (1.0 + c / (k + 1)) * beta(c, k + 1, n)
+
+    def test_same_floats_as_the_kernels(self):
+        # beta is the product recursion_weights and weight_sum multiply by
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            c = float(-rng.uniform(0.0, 8.0))
+            n = int(rng.integers(0, 401))
+            got = np.array([beta(c, k + 1, n) for k in range(n + 1)])
+            want = suffix_products(recurrence_factors(1.0, c, n)[0])
+            assert got.tobytes() == want.tobytes(), (c, n)
+            spec = ProblemSpec(LinearDrift(c / 2.0, 0.0), Rademacher(1.0), 2.0, 0.0)
+            assert beta(spec.c, 0, n).hex() == recursion_weights(spec, n)[0].hex(), (spec.c, n)
 
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(11)
@@ -115,12 +95,10 @@ class TestBeta:
             k_min = math.ceil(max(-2.0 * c - 1.0, 1.0))
             n = int(rng.integers(k_min, k_min + 500))
             k = int(rng.integers(k_min, n + 1))
-            assert beta_value(c, k, n + 1) < beta_value(c, k, n)
+            assert beta(c, k, n + 1) < beta(c, k, n)
 
     def test_large_horizon_no_overflow(self):
-        slv = beta(-2.0, 10, 10**7)
-        assert slv.sign == 1
-        assert math.isfinite(slv.log_magnitude)
+        assert 0.0 < beta(-2.0, 10, 10**7) < 1.0
 
 
 class TestBetaBounds:
@@ -128,7 +106,7 @@ class TestBetaBounds:
         lower, upper = beta_bounds(-1.5, 2, 10)
         assert lower == pytest.approx(0.02516950494815149, rel=1e-12)
         assert upper == pytest.approx(0.1643167672515498, rel=1e-12)
-        assert lower <= beta_value(-1.5, 2, 10) <= upper
+        assert lower <= beta(-1.5, 2, 10) <= upper
 
     def test_single_factor_at_k_equals_n(self):
         for n in (1, 5, 40):
@@ -162,7 +140,7 @@ class TestBetaBounds:
                 continue
             k = int(rng.integers(k_min, n + 1))
             lower, upper = beta_bounds(c, k, n)
-            val = beta_value(c, k, n)
+            val = beta(c, k, n)
             assert lower <= val <= upper, (c, k, n)
             checked += 1
 
