@@ -165,7 +165,9 @@ def paper_form_bound(C: float, epsilon: float, delta: float, n: int) -> float:
         2 exp(-C eps^2 delta n / (1-delta)) * (1 + 1/(1 - exp(-C eps^2/(1-delta))))
 
     with a caller-supplied constant C; reported alongside the explicit
-    bound, never used in its place (C is not derivable here).
+    bound, never used in its place (C is not derivable here).  When
+    C eps^2/(1-delta) is too small for exp to tell it from 0, the
+    denominator rounds to 0 and the result is inf, the bound's limit.
     """
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
@@ -174,5 +176,7 @@ def paper_form_bound(C: float, epsilon: float, delta: float, n: int) -> float:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     lead = 2.0 * math.exp(-C * epsilon * epsilon * delta * n / (1.0 - delta))
-    tail_factor = 1.0 + 1.0 / (1.0 - math.exp(-C * epsilon * epsilon / (1.0 - delta)))
-    return lead * tail_factor
+    gap = 1.0 - math.exp(-C * epsilon * epsilon / (1.0 - delta))
+    if gap == 0.0:
+        return math.inf
+    return lead * (1.0 + 1.0 / gap)

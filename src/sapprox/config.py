@@ -20,13 +20,17 @@ One experiment per file.  Shape:
 Only the block of the command being run is required, and only it is
 parsed: parse_config returns its values with the defaults filled in
 (`record` true, `format` csv, `paper_c` null).  A field that the root,
-the drift or noise model, or that block does not have is an issue.  The
-seed is mandatory: there is no wall-clock fallback, every run must be
-reproducible from the file alone.
+the drift or noise model, or that block does not have is an issue, and so
+is an `output` or `format` in a simulate block whose `record` is false,
+which writes no file.  The seed is mandatory: there is no wall-clock
+fallback, every run must be reproducible from the file alone.
 
-This module checks JSON types only.  Value ranges are checked by the
-constructors (the drift and noise classes, ProblemSpec, Schedule), whose
-ParameterError becomes a ConfigIssue at the offending field's path.
+This module checks JSON types, and the ranges of the fields that no
+constructor takes: seed in [0, 2^64), simulate.n >= 0, replicas >= 1,
+epsilon > 0 and paper_c > 0.  The other ranges are checked where their
+values are taken (the drift and noise classes, ProblemSpec, Schedule and
+mdp.horizon_grid), whose ParameterError becomes a ConfigIssue at the
+offending field's path.
 """
 
 from __future__ import annotations
@@ -273,8 +277,14 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
             if not isinstance(record, bool):
                 issues.append(ConfigIssue("simulate.record", "must be a boolean"))
                 record = True
-            block = {"n": n, "record": record,
-                     **_output(given, "simulate", issues, required=record)}
+            if record:
+                block = {"n": n, "record": record,
+                         **_output(given, "simulate", issues, required=True)}
+            else:
+                block = {"n": n, "record": record, "output": None, "format": "csv"}
+                issues.extend(
+                    ConfigIssue(f"simulate.{key}", "record is false, so no file is written")
+                    for key in ("output", "format") if given.get(key) is not None)
         elif command == "bound":
             paper_c = given.get("paper_c")
             block = {

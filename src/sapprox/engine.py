@@ -13,12 +13,13 @@ however replicas are scheduled across workers:
 where mix64 is the SplitMix64 finalizer and D is a domain constant that
 separates the two draw kinds:
 
-  * Rademacher sign at step k: bit (k mod 64) of z(i, k // 64; D_SIGN),
-    mapped 1 -> +1, 0 -> -1.
+  * Sign bit at step k: bit (k mod 64) of z(i, k // 64; D_SIGN).
   * Uniform at step k: the top 53 bits of z(i, k; D_UNIF) scaled to [0, 1).
 
 The scalar ReplicaStream and its block twin BlockStream evaluate the same
-functions, so a batch row equals the corresponding single-replica run.
+functions and hand out only these bits and uniforms; the scalar and block
+samplers of a noise model (sapprox.model) both map them to draws through the
+model's one value table, so a batch row equals the single-replica run.
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
 
@@ -99,12 +100,13 @@ class ReplicaStream:
         self._sign_block = -1
         self._sign_bits = 0
 
-    def rademacher_sign(self, k: int) -> float:
+    def sign_bit(self, k: int) -> int:
+        """The step-k sign bit, 0 or 1."""
         j, r = divmod(k, 64)
         if j != self._sign_block:
             self._sign_bits = _mix64(self._key ^ _step_key(_D_SIGN, j))
             self._sign_block = j
-        return 1.0 if (self._sign_bits >> r) & 1 else -1.0
+        return (self._sign_bits >> r) & 1
 
     def uniform(self, k: int) -> float:
         z = _mix64(self._key ^ _step_key(_D_UNIF, k))
@@ -120,7 +122,6 @@ class BlockStream:
         self.width = hi - lo
         self._keys = replica_keys_array(seed, lo, hi)
         self._word = np.empty(self.width, dtype=np.uint64)
-        self._bits = None  # scratch of signs(); whole-word readers never need it
         self._sign_block = -1
 
     def _hash(self, domain: int, j: int) -> np.ndarray:
@@ -134,16 +135,13 @@ class BlockStream:
             self._sign_block = j
         return self._word
 
-    def signs(self, k: int, sigma: float, out: np.ndarray) -> None:
-        """out <- sigma * (+-1), the step-k Rademacher draws; exact via
-        2*sigma*bit - sigma."""
+    def sign_bits(self, k: int, out: np.ndarray) -> None:
+        """out <- the step-k sign bits, 0 or 1, into an int64 array, which
+        indexes a value table without a cast."""
+        bits = out.view(np.uint64)
         j, r = divmod(k, 64)
-        if self._bits is None:
-            self._bits = np.empty(self.width, dtype=np.uint64)
-        np.right_shift(self.sign_word(j), np.uint64(r), out=self._bits)
-        np.bitwise_and(self._bits, np.uint64(1), out=self._bits)
-        np.multiply(self._bits, 2.0 * sigma, out=out, casting="unsafe")
-        out -= sigma
+        np.right_shift(self.sign_word(j), np.uint64(r), out=bits)
+        np.bitwise_and(bits, np.uint64(1), out=bits)
 
     def uniforms(self, k: int, out: np.ndarray) -> None:
         """out <- the step-k uniforms in [0, 1)."""
@@ -202,15 +200,14 @@ def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    stream = ReplicaStream(seed, replica)
-    state = spec.noise.initial_state()
+    draw = spec.noise.sampler(ReplicaStream(seed, replica))
     x = spec.x0
     if record:
         xs = np.empty(n + 2)
         us = np.empty(n + 1)
         xs[0] = x
     for k in range(n + 1):
-        u, state = spec.noise.sample(state, stream, k)
+        u = draw(k)
         x = step(spec, x, k, u)
         if record:
             xs[k + 1] = x
@@ -231,12 +228,10 @@ def weighted_sum(spec: ProblemSpec, n: int, seed: int, replica: int = 0) -> floa
     """
     spec.require_mdp_regime()
     f, a = recurrence_factors(spec.b, spec.c, n)
-    stream = ReplicaStream(seed, replica)
-    state = spec.noise.initial_state()
+    draw = spec.noise.sampler(ReplicaStream(seed, replica))
     s = 0.0
     for k, (fk, ak) in enumerate(zip(f.tolist(), a.tolist())):
-        u, state = spec.noise.sample(state, stream, k)
-        s = fk * s + ak * u
+        s = fk * s + ak * draw(k)
     return s
 
 

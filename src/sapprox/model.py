@@ -6,9 +6,9 @@ Drifts satisfy, for all x,
     K1 |x - x*| <= |g(x)| <= K2 |x - x*|,   |g''(x)| <= Ka,
     (x - x*) g(x) <= 0,   g(x*) = 0,   g'(x*) < 0.
 
-Noise models emit two-point distributions whose conditional mean is exactly
-0 and conditional second moment exactly sigma^2 given the past, with every
-value bounded by Ku.
+Noise models are a two-point law per state, held as data: a value table
+whose conditional mean is 0 and conditional second moment sigma^2 in every
+state, with every value bounded by Ku, the largest magnitude in the table.
 """
 
 from __future__ import annotations
@@ -143,8 +143,14 @@ def eval_g(drift: DriftFunction, x):
 
 @dataclass(frozen=True)
 class _Noise(_Model):
-    """Noise with conditional second moment sigma^2; state 0 is the state
-    before the first draw."""
+    """A two-point law per state s: up with probability p = up_probability[s]
+    to sigma*sqrt((1-p)/p), else down to -sigma*sqrt(p/(1-p)), which gives
+    conditional mean 0 and conditional second moment sigma^2 in every state.
+
+    values[2*s + d] is the draw from state s going down (d = 0) or up
+    (d = 1).  Each kind's sampler(stream) and block_sampler(stream) pick d
+    from the stream and index this one table, so both give the same floats.
+    """
 
     sigma: float
 
@@ -152,41 +158,51 @@ class _Noise(_Model):
         if not self.sigma > 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}", "sigma")
 
-    def initial_state(self) -> int:
-        return 0
+    @property
+    def values(self) -> tuple[float, ...]:
+        s = self.sigma
+        return tuple(v for p in self.up_probability
+                     for v in (-s * math.sqrt(p / (1.0 - p)), s * math.sqrt((1.0 - p) / p)))
+
+    @property
+    def Ku(self) -> float:
+        """The bound on |u|: the largest magnitude in the value table."""
+        return max(abs(v) for v in self.values)
 
 
 @dataclass(frozen=True)
 class Rademacher(_Noise):
-    """u = +sigma or -sigma with probability 1/2 each, independent of the past."""
+    """u = +sigma or -sigma with probability 1/2 each, independent of the
+    past: one state, going up when the step's sign bit is set."""
 
     kind = "rademacher"
+    up_probability = (0.5,)
 
-    @property
-    def Ku(self) -> float:
-        return self.sigma
-
-    def sample(self, state: int, stream, k: int) -> tuple[float, int]:
-        """(u, next state) of step k from a scalar engine.ReplicaStream."""
-        return self.sigma * stream.rademacher_sign(k), 0
+    def sampler(self, stream):
+        """draw(k): the step-k value of a scalar engine.ReplicaStream."""
+        values = self.values
+        return lambda k: values[stream.sign_bit(k)]
 
     def block_sampler(self, stream):
-        """draw(k, out): the step-k values of every replica of a block
-        engine.BlockStream, written into out."""
-        sigma = self.sigma
-        return lambda k, out: stream.signs(k, sigma, out)
+        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
+        values = np.array(self.values)
+        bits = np.empty(stream.width, dtype=np.int64)
+
+        def draw(k: int, out: np.ndarray) -> None:
+            stream.sign_bits(k, bits)
+            np.take(values, bits, out=out, mode="clip")  # bits are 0 or 1: nothing to clip
+
+        return draw
 
 
 @dataclass(frozen=True)
 class TwoPointAdaptive(_Noise):
-    """Two-point noise whose success probability depends on the last sign.
+    """Two-point noise whose up probability depends on the last draw, going
+    up when the step's uniform is below it.
 
-    Given the current p, the draw is +sigma*sqrt((1-p)/p) with probability
-    p and -sigma*sqrt(p/(1-p)) with probability 1-p, which pins the
-    conditional mean to 0 and the conditional second moment to sigma^2 for
-    every p.  The state rule is mean-reverting: after a positive draw
-    p = p_min, after a negative draw p = p_max, and the first draw uses the
-    midpoint.
+    The rule is mean-reverting: state 0 (the last draw went down) goes up
+    with p_max, state 1 (it went up) with p_min and state 2 (no draw yet)
+    with the midpoint.  The next state is d, so draws come in step order.
     """
 
     kind = "two_point_adaptive"
@@ -205,40 +221,27 @@ class TwoPointAdaptive(_Noise):
             )
 
     @property
-    def Ku(self) -> float:
-        return max(self.outcomes(self.p_min)[0], -self.outcomes(self.p_max)[1])
+    def up_probability(self) -> tuple[float, float, float]:
+        return (self.p_max, self.p_min, 0.5 * (self.p_min + self.p_max))
 
-    def p_for_state(self, state: int) -> float:
-        """Map the previous draw's sign (0 = no history) to a probability."""
-        if state > 0:
-            return self.p_min
-        if state < 0:
-            return self.p_max
-        return 0.5 * (self.p_min + self.p_max)
+    def sampler(self, stream):
+        """draw(k): the step-k value of a scalar engine.ReplicaStream."""
+        values, up = self.values, self.up_probability
+        state = 2
 
-    def outcomes(self, p: float) -> tuple[float, float]:
-        """(positive value, negative value) of the two-point law at p."""
-        pos = self.sigma * math.sqrt((1.0 - p) / p)
-        neg = -self.sigma * math.sqrt(p / (1.0 - p))
-        return pos, neg
+        def draw(k: int) -> float:
+            nonlocal state
+            i = 2 * state + (stream.uniform(k) < up[state])
+            state = i & 1
+            return values[i]
 
-    def sample(self, state: int, stream, k: int) -> tuple[float, int]:
-        """(u, next state) of step k from a scalar engine.ReplicaStream."""
-        p = self.p_for_state(state)
-        pos, neg = self.outcomes(p)
-        if stream.uniform(k) < p:
-            return pos, 1
-        return neg, -1
+        return draw
 
     def block_sampler(self, stream):
-        """draw(k, out): the step-k values of every replica of a block
-        engine.BlockStream, written into out.  Each replica's state carries
-        over from one call to the next, so steps must come in order."""
-        # Block state 0 and 1 mean the last draw went down and up, 2 means no
-        # draw yet.  A step's value is value_table[2 * state + (u < p)], and
-        # (u < p) is the next state, so no step allocates.
-        p_table = np.array([self.p_for_state(state) for state in (-1, 1, 0)])
-        value_table = np.array([v for p in p_table for v in reversed(self.outcomes(p))])
+        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
+        # (u < p) is both the step's d and the next state, so no step allocates
+        up = np.array(self.up_probability)
+        values = np.array(self.values)
         state = np.full(stream.width, 2, dtype=np.intp)
         went_up = np.empty_like(state)
         p = np.empty(stream.width)
@@ -247,11 +250,11 @@ class TwoPointAdaptive(_Noise):
             nonlocal state, went_up
             stream.uniforms(k, out)
             # indices are always in range, so "clip" only skips the bounds check
-            np.take(p_table, state, out=p, mode="clip")
+            np.take(up, state, out=p, mode="clip")
             np.less(out, p, out=went_up)
             state += state
             state += went_up
-            np.take(value_table, state, out=out, mode="clip")
+            np.take(values, state, out=out, mode="clip")
             state, went_up = went_up, state
 
         return draw

@@ -221,6 +221,18 @@ class TestPaperFormBound:
             math.exp(-c * eps * eps * delta * n / (1.0 - delta)), rel=1e-12
         )
 
+    def test_vanishing_denominator_gives_inf(self):
+        # exp(-1e-17/0.9) rounds to 1, so 1 - exp(...) is 0: the bound's limit
+        assert math.exp(-1e-17 / 0.9) == 1.0
+        assert paper_form_bound(1e-17, 1.0, 0.1, 100) == math.inf
+
+    @pytest.mark.parametrize("c", [1e-16, 0.7])
+    def test_expression_unchanged_elsewhere(self, c):
+        eps, delta, n = 1.0, 0.1, 100
+        lead = 2.0 * math.exp(-c * eps * eps * delta * n / (1.0 - delta))
+        want = lead * (1.0 + 1.0 / (1.0 - math.exp(-c * eps * eps / (1.0 - delta))))
+        assert paper_form_bound(c, eps, delta, n) == want
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             paper_form_bound(0.0, 1.0, 0.5, 10)

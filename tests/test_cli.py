@@ -293,6 +293,32 @@ class TestSimulateCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1
 
+    @pytest.mark.parametrize("key, value, flag", [
+        ("output", "traj.csv", False),
+        ("format", "json", False),
+        ("output", "traj.csv", True),
+        ("format", "json", True),
+        ("output", "", False),
+        ("output", "", True),
+        ("format", "xml", False),
+        ("format", "xml", True),
+    ])
+    def test_record_off_rejects_an_output(self, tmp_path, capsys, monkeypatch,
+                                          key, value, flag):
+        # nothing would be written there, so giving it is an error
+        monkeypatch.chdir(tmp_path)
+        simulate = {"n": 10, "record": False}
+        if not flag:
+            simulate[key] = value
+        path, _ = write_config(tmp_path, simulate=simulate)
+        argv = ["simulate", "--config", str(path)] + ([f"--{key}", value] if flag else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: simulate.{key}: record is false, "
+                                "so no file is written\n")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
+
     def test_deterministic_across_runs(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         main(["simulate", "--config", str(path)])
@@ -418,7 +444,8 @@ class TestOverflow:
             tmp_path,
             drift={"kind": "linear", "parameters": {"alpha1": -1000.0},
                    "x_star": 0.0},
-            simulate={"n": 1500, "record": record, "output": str(tmp_path / "traj.csv")},
+            simulate={"n": 1500, "record": record,
+                      **({"output": str(tmp_path / "traj.csv")} if record else {})},
         )
         assert main(["simulate", "--config", str(path)]) == 1
         captured = capsys.readouterr()
@@ -530,6 +557,18 @@ class TestBoundCommand:
                      "bound.paper_c=1.0"]) == 0
         lines = (tmp_path / "bound.csv").read_text().splitlines()
         assert lines[1].split(",")[4] != ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_paper_c_too_small_to_round_gives_inf(self, tmp_path, fmt):
+        # 1 - exp(-C eps^2/(1-delta)) rounds to 0 at C = 1e-17, eps = 1
+        path, _ = write_config(tmp_path)
+        assert main(["bound", "--config", str(path), "--format", fmt, "--set",
+                     "bound.paper_c=1e-17", "--set", "bound.epsilon=1"]) == 0
+        text = (tmp_path / "bound.csv").read_text()
+        if fmt == "json":
+            assert [row["paper_form"] for row in json.loads(text)["rows"]] == ["inf", "inf"]
+        else:
+            assert [line.split(",")[4] for line in text.splitlines()[1:]] == ["inf", "inf"]
 
     def test_infeasible_epsilon_exits_3(self, tmp_path):
         path, _ = write_config(

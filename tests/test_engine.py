@@ -58,11 +58,18 @@ class TestStreams:
         assert all(0.0 <= u < 1.0 for u in us)
         assert abs(np.mean(us) - 0.5) < 0.02
 
-    def test_signs_balanced(self):
+    def test_sign_bits_balanced(self):
         st = ReplicaStream(7, 3)
-        sg = [st.rademacher_sign(k) for k in range(5000)]
-        assert set(sg) == {1.0, -1.0}
-        assert abs(np.mean(sg)) < 0.05
+        bits = [st.sign_bit(k) for k in range(5000)]
+        assert set(bits) == {0, 1}
+        assert abs(np.mean(bits) - 0.5) < 0.025
+
+    def test_block_sign_bits_match_scalar(self):
+        stream = BlockStream(11, 40, 77)
+        bits = np.empty(37, dtype=np.int64)
+        for k in (0, 1, 63, 64, 200):
+            stream.sign_bits(k, bits)
+            assert bits.tolist() == [ReplicaStream(11, i).sign_bit(k) for i in range(40, 77)]
 
     def test_streams_differ_across_replicas_and_seeds(self):
         a = [ReplicaStream(1, 0).uniform(k) for k in range(32)]
@@ -72,9 +79,9 @@ class TestStreams:
 
     def test_nonsequential_access_consistent(self):
         st1 = ReplicaStream(5, 2)
-        forward = [st1.rademacher_sign(k) for k in range(130)]
+        forward = [st1.sign_bit(k) for k in range(130)]
         st2 = ReplicaStream(5, 2)
-        backward = [st2.rademacher_sign(k) for k in reversed(range(130))]
+        backward = [st2.sign_bit(k) for k in reversed(range(130))]
         assert forward == backward[::-1]
 
 
@@ -143,7 +150,7 @@ class TestWeightedSum:
     def test_single_term(self):
         spec = linear_spec()
         s = weighted_sum(spec, 0, 99)
-        u1 = ReplicaStream(99, 0).rademacher_sign(0) * spec.noise.sigma
+        u1 = (2 * ReplicaStream(99, 0).sign_bit(0) - 1) * spec.noise.sigma
         assert s == spec.b * u1
 
     def test_all_plus_hand_expansion(self):
@@ -167,7 +174,7 @@ class TestWeightedSum:
         n = 40
         traj_stream = ReplicaStream(4, 0)
         us = np.array(
-            [spec.noise.sigma * traj_stream.rademacher_sign(k) for k in range(n + 1)]
+            [spec.noise.sigma * (2 * traj_stream.sign_bit(k) - 1) for k in range(n + 1)]
         )
         w = np.array(
             [spec.b * beta(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
@@ -261,10 +268,13 @@ class TestModelKernels:
 
 def reference_two_point_sampler(noise, stream):
     """The two-point block sampler as a state-table gather plus np.where,
-    kept as the reference for the index-free TwoPointAdaptive.block_sampler."""
-    # indexed by state 0, 1 and -1 (the last entry)
-    p_table = np.array([noise.p_for_state(state) for state in (0, 1, -1)])
-    pos_table, neg_table = np.array([noise.outcomes(p) for p in p_table]).T
+    from the law spelled out in p, kept as the reference for the
+    index-free TwoPointAdaptive.block_sampler."""
+    # indexed by state 0 (no draw yet), 1 (last draw up) and -1 (the last
+    # entry: last draw down)
+    p_table = np.array([0.5 * (noise.p_min + noise.p_max), noise.p_min, noise.p_max])
+    pos_table = noise.sigma * np.sqrt((1.0 - p_table) / p_table)
+    neg_table = -noise.sigma * np.sqrt(p_table / (1.0 - p_table))
     state = np.zeros(stream.width, dtype=np.intp)
 
     def draw(k, out):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from model_strategies import DRIFT_MODELS, NOISE_MODELS
 from references import drift_condition_failures
 
-from sapprox.engine import ReplicaStream, batch_final_deviations
+from sapprox.engine import BlockStream, ReplicaStream, batch_final_deviations
 from sapprox.model import (
     LinearDrift,
     ProblemSpec,
@@ -113,29 +113,32 @@ class TestNoiseModels:
         with pytest.raises(ValueError):
             TwoPointAdaptive(1.0, 0.3, 1.0)
 
-    def test_two_point_outcomes_at_p08(self):
-        # p = 0.8, sigma = 1: outcomes +0.5 w.p. 0.8 and -2 w.p. 0.2
+    def test_two_point_values_at_p08(self):
+        # state 0 goes up with p_max = 0.8, sigma = 1: +0.5 w.p. 0.8, -2 w.p. 0.2
         noise = TwoPointAdaptive(1.0, 0.2, 0.8)
-        pos, neg = noise.outcomes(0.8)
-        assert pos == pytest.approx(0.5, rel=1e-15)
-        assert neg == pytest.approx(-2.0, rel=1e-15)
+        down, up = noise.values[:2]
+        assert up == pytest.approx(0.5, rel=1e-15)
+        assert down == pytest.approx(-2.0, rel=1e-15)
 
     def test_symmetric_case_reduces_to_rademacher(self):
-        noise = TwoPointAdaptive(1.0, 0.5, 0.5)
-        pos, neg = noise.outcomes(0.5)
-        assert pos == 1.0 and neg == -1.0
+        assert TwoPointAdaptive(1.0, 0.5, 0.5).values == (-1.0, 1.0) * 3
+        assert Rademacher(1.0).values == (-1.0, 1.0)
 
-    def test_exact_conditional_moments_every_state(self):
+    @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_exact_conditional_moments_every_state(self, kind, data):
         # algebraic check on the two-point law, not a statistical one
-        noise = TwoPointAdaptive(1.7, 0.25, 0.65)
-        for state in (0, 1, -1):
-            p = noise.p_for_state(state)
-            pos, neg = noise.outcomes(p)
-            mean = p * pos + (1.0 - p) * neg
-            second = p * pos * pos + (1.0 - p) * neg * neg
-            assert mean == pytest.approx(0.0, abs=1e-15)
+        noise = data.draw(NOISE_MODELS[kind])
+        assert len(noise.values) == 2 * len(noise.up_probability)
+        for state, p in enumerate(noise.up_probability):
+            down, up = noise.values[2 * state:2 * state + 2]
+            mean = p * up + (1.0 - p) * down
+            second = p * up * up + (1.0 - p) * down * down
+            # each term carries about five roundings
+            assert abs(mean) <= 10 * math.ulp(p * up)
             assert second == pytest.approx(noise.sigma**2, rel=1e-14)
-            assert abs(pos) <= noise.Ku and abs(neg) <= noise.Ku
+            assert abs(up) <= noise.Ku and abs(down) <= noise.Ku
 
     def test_ku_formula(self):
         noise = TwoPointAdaptive(2.0, 0.1, 0.6)
@@ -143,44 +146,77 @@ class TestNoiseModels:
         worst_neg = 2.0 * math.sqrt(0.6 / 0.4)
         assert noise.Ku == max(worst_pos, worst_neg)
 
+    @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ku_is_the_closed_form_bitwise(self, kind, data):
+        # the largest up value is at p_min and the largest down value at p_max
+        noise = data.draw(NOISE_MODELS[kind])
+        sigma = noise.sigma
+        if isinstance(noise, Rademacher):
+            want = sigma
+        else:
+            want = max(sigma * math.sqrt((1.0 - noise.p_min) / noise.p_min),
+                       sigma * math.sqrt(noise.p_max / (1.0 - noise.p_max)))
+        assert noise.Ku == want
+
     def test_rademacher_bound(self):
         assert Rademacher(2.0).Ku == 2.0
 
 
 class TestSampleNoise:
     def test_rademacher_values(self):
-        noise = Rademacher(2.0)
-        stream = ReplicaStream(123, 0)
-        values = {noise.sample(0, stream, k)[0] for k in range(200)}
-        assert values == {2.0, -2.0}
+        draw = Rademacher(2.0).sampler(ReplicaStream(123, 0))
+        assert {draw(k) for k in range(200)} == {2.0, -2.0}
 
     def test_two_point_state_transitions(self):
+        # the state rule spelled out in p: the midpoint first, then p_min
+        # after an up draw and p_max after a down draw
         noise = TwoPointAdaptive(1.0, 0.3, 0.7)
-        stream = ReplicaStream(9, 0)
-        state = noise.initial_state()
+        draw = noise.sampler(ReplicaStream(9, 0))
+        uniforms = ReplicaStream(9, 0)
+        p = 0.5
         for k in range(300):
-            u, next_state = noise.sample(state, stream, k)
-            assert next_state == (1 if u > 0 else -1)
-            p = noise.p_for_state(state)
-            assert u in noise.outcomes(p)
-            assert abs(u) <= noise.Ku
-            state = next_state
+            went_up = uniforms.uniform(k) < p
+            want = math.sqrt((1.0 - p) / p) if went_up else -math.sqrt(p / (1.0 - p))
+            assert draw(k) == want
+            p = 0.3 if went_up else 0.7
 
     @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_draws_bounded_by_ku(self, kind, data):
         noise = data.draw(NOISE_MODELS[kind])
-        stream = ReplicaStream(data.draw(st.integers(0, 2**64 - 1)), 0)
-        state = noise.initial_state()
+        draw = noise.sampler(ReplicaStream(data.draw(st.integers(0, 2**64 - 1)), 0))
+        states = len(noise.up_probability)
+        s = states - 1  # two-point noise starts in state 2, with no draw yet
         for k in range(300):
-            if isinstance(noise, TwoPointAdaptive):
-                support = noise.outcomes(noise.p_for_state(state))
-            else:
-                support = (noise.sigma, -noise.sigma)
-            u, state = noise.sample(state, stream, k)
-            assert u in support
+            u = draw(k)
+            # one of the two values of the state the previous draw left
+            assert u in noise.values[2 * s:2 * s + 2]
             assert abs(u) <= noise.Ku
+            s = int(u > 0) if states > 1 else 0
+
+    @pytest.mark.parametrize("kind", sorted(NOISE_MODELS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_block_draws_equal_scalar_draws(self, kind, data):
+        noise = data.draw(NOISE_MODELS[kind])
+        self.check_block_equals_scalar(noise, data.draw(st.integers(0, 2**64 - 1)))
+
+    @pytest.mark.parametrize("noise", [Rademacher(1e308), TwoPointAdaptive(1e308, 0.3, 0.7)])
+    def test_block_draws_equal_scalar_draws_at_huge_sigma(self, noise):
+        # 2 sigma overflows here, so a draw must not be formed through it
+        self.check_block_equals_scalar(noise, 20240801)
+
+    @staticmethod
+    def check_block_equals_scalar(noise, seed, lo=5, width=37):
+        block = noise.block_sampler(BlockStream(seed, lo, lo + width))
+        scalars = [noise.sampler(ReplicaStream(seed, lo + i)) for i in range(width)]
+        out = np.empty(width)
+        for k in range(130):  # past two 64-step sign words
+            block(k, out)
+            assert np.array_equal(out, [draw(k) for draw in scalars]), (noise, k)
 
     def test_bounded_over_many_draws(self):
         # 1e6 draws through the batch path; adversarial states arise from
