@@ -403,36 +403,67 @@ def batch_final_deviations(
 # Closed-form tail counting (linear drift, Rademacher noise)
 # ---------------------------------------------------------------------------
 
-_UNIT_ROUNDOFF = 2.0**-53
+UNIT_ROUNDOFF = 2.0**-53
 # Rounding allowance per step in unit roundoffs.  One step of the sequential
 # recurrence and one factor of the closed-form weights each round fewer than
 # ten times.
 _GUARD_ULPS = 16.0
 
-# _BYTE_SIGNS[r, v] is +1 when bit r of byte v is set, else -1.
-_BYTE_SIGNS = 2.0 * ((np.arange(256) >> np.arange(8)[:, None]) & 1) - 1.0
+# _BYTE_BITS[r, v] is bit r of byte v, 0 or 1: a step's index into the
+# Rademacher value table (-sigma, sigma).
+_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
 # Column of a uint64's uint8 view holding its bits 8m..8m+7, for m = 0..7.
 _BYTE_COLUMNS = tuple(range(8)) if sys.byteorder == "little" else tuple(range(7, -1, -1))
+
+
+def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
+    """A bound on |computed - exact| for the final deviation that the
+    forward recurrence computes for the target, on every noise path: the
+    exact value is beta(c, 0, n) d0 + sum_k w_k U_{k+1} over the floats of
+    weights.recursion_weights, with d0 = x0 - x* for "recursion" and 0 for
+    "weighted_sum".
+
+    The recurrence is x <- x + (b/(k+1)) (g(x) + u) for "recursion" (bounded
+    here for linear drift only) and s <- f_k s + a_k u for "weighted_sum"
+    (any drift), f_k = 1 + c/(k+1).  The bound is E_{n+1} of the forward
+    error recurrence
+    E_{k+1} = |f_k| E_k + ulps (|x*| + B_{k+1} + (1 + |c|/(k+1)) B_k + b Ku/(k+1)),
+    with B the pathwise envelope of |d_k| (the partial sum bound for
+    weighted_sum); it covers the rounding of the recurrence and of the
+    weights.
+    """
+    _check_target(spec, target)
+    if target == "recursion":
+        env, _ = envelope_bound(spec, n)
+        x_star = abs(spec.drift.x_star)
+    else:
+        env, _ = envelope_bound(replace(spec, x0=spec.drift.x_star), n)
+        x_star = 0.0
+    f, _ = recurrence_factors(spec.b, spec.c, n)
+    k1 = np.arange(1.0, n + 2.0)
+    spread = 1.0 + abs(spec.c) / k1
+    tol = _GUARD_ULPS * UNIT_ROUNDOFF
+    local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * spec.noise.Ku / k1)
+    # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
+    return float(suffix_products(np.abs(f) + tol * spread) @ local)
 
 
 class _LinearRademacherTail:
     """Tail counts for linear drift under Rademacher noise, in closed form.
 
     With g(x) = alpha1 (x - x*) the final deviation is exactly
-    beta(c, 0, n) d0 + sigma sum_k w_k s_k (weights.recursion_weights),
-    where s_k = +-1 is the step-k sign and d0 = x0 - x* for the recursion
-    target, 0 for weighted_sum.  Bits 8m..8m+7 of the 64-step hash word j
-    are the signs of steps 64j+8m..64j+8m+7, so word j adds
-    T_j[m, byte_m] for m < 8, with the 8x256 table
-    T_j[m, v] = sigma sum_r w_{64j+8m+r} (+-1 by bit r of v).
+    beta(c, 0, n) d0 + sum_k w_k U_{k+1} (weights.recursion_weights), where
+    U_{k+1} = values[bit] is the noise's value table indexed by the step-k
+    sign bit and d0 = x0 - x* for the recursion target, 0 for weighted_sum.
+    Bits 8m..8m+7 of the 64-step hash word j are the sign bits of steps
+    64j+8m..64j+8m+7, so word j adds T_j[m, byte_m] with the 8x256 table
+    T_j[m, v] = sum_r w_{64j+8m+r} values[bit r of v], for the columns m
+    with 64j + 8m <= n; the other columns hold no step and add nothing.
 
     The result is not bitwise equal to the sequential recurrence, so
     `guard` bounds |closed form - recurrence| for every replica: it is
     twice the sum of two bounds on the distance to the exact value.  The
-    first is the forward error recurrence
-    E_{k+1} = |f_k| E_k + ulps (|x*| + B_{k+1} + (1 + |c|/(k+1)) B_k + b sigma/(k+1)),
-    f_k = 1 + c/(k+1), with B the pathwise envelope of |d_k| (the partial
-    sum bound for weighted_sum); it covers the rounding of the recurrence
+    first is recurrence_error, which covers the rounding of the recurrence
     and of the weights.  The second is the rounding of the table entries
     and their running sum.  A replica whose |deviation| lies within guard
     of the threshold is recomputed by the scalar reference, which equals
@@ -445,32 +476,22 @@ class _LinearRademacherTail:
         self.target = target
         self.n = n
         beta0, w = recursion_weights(spec, n)
-        sigma = spec.noise.sigma
         self.words = n // 64 + 1
         padded = np.zeros(64 * self.words)
-        padded[: n + 1] = sigma * w
+        padded[: n + 1] = w
         self._word_weights = padded.reshape(self.words, 8, 8)
+        self._columns = [min(8, (n - 64 * j) // 8 + 1) for j in range(self.words)]
+        self._byte_values = np.asarray(spec.noise.values)[_BYTE_BITS]
         if target == "recursion":
             self.start = beta0 * (spec.x0 - spec.drift.x_star)
-            env, _ = envelope_bound(spec, n)
-            x_star = abs(spec.drift.x_star)
         else:
             self.start = 0.0
-            env, _ = envelope_bound(replace(spec, x0=spec.drift.x_star), n)
-            x_star = 0.0
-        f, _ = recurrence_factors(spec.b, spec.c, n)
-        k1 = np.arange(1.0, n + 2.0)
-        spread = 1.0 + abs(spec.c) / k1
-        tol = _GUARD_ULPS * _UNIT_ROUNDOFF
-        local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * sigma / k1)
-        # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
-        recurrence = float(suffix_products(np.abs(f) + tol * spread) @ local)
         # the start plus 8 entries per word are summed, each entry a sum of 8
         terms = 8 * self.words + 9
-        summation = terms * _UNIT_ROUNDOFF * (
-            abs(self.start) + float(np.sum(np.abs(padded)))
+        summation = terms * UNIT_ROUNDOFF * (
+            abs(self.start) + spec.noise.Ku * float(np.sum(np.abs(padded)))
         )
-        self.guard = 2.0 * (recurrence + summation)
+        self.guard = 2.0 * (recurrence_error(spec, target, n) + summation)
 
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi)."""
@@ -478,12 +499,12 @@ class _LinearRademacherTail:
         stream = BlockStream(seed, lo, hi)
         part = np.empty(w)
         dev = np.full(w, self.start)
-        for j in range(self.words):
-            table = self._word_weights[j] @ _BYTE_SIGNS
+        for j, columns in enumerate(self._columns):
+            table = self._word_weights[j] @ self._byte_values
             byte_rows = stream.sign_word(j).view(np.uint8).reshape(w, 8)
-            for m, col in enumerate(_BYTE_COLUMNS):
+            for m in range(columns):
                 # a byte never exceeds 255, so "clip" only skips the bounds check
-                np.take(table[m], byte_rows[:, col], out=part, mode="clip")
+                np.take(table[m], byte_rows[:, _BYTE_COLUMNS[m]], out=part, mode="clip")
                 dev += part
         return dev
 

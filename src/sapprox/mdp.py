@@ -2,9 +2,13 @@
 b_n^2, exact small-horizon enumeration oracles, the exact Gaussian
 reference tail, and rate curves approaching -r^2 / (2 sigma^2).
 
-Both enumeration oracles run one doubling kernel (_sign_pattern_sums) over
-the recurrence s_{k+1} = f_k s_k + xi_k a_k: 2^(m-1) values and 8 * 2^(m-1)
-bytes for m sign terms.
+Both enumeration oracles count the sign patterns of the recurrence
+s_{k+1} = f_k s_k + xi_k a_k by one split count (_split_tail, Horowitz and
+Sahni's meet in the middle): the signed sums of each half of the closed-form
+weights are listed and sorted, and |a + b| > t is counted with
+searchsorted.  Every pair within a proven rounding guard of +-t is
+re-evaluated by the per-pattern recurrence, so the counts are bitwise those
+of the forward recurrence, in about 2^(m/2) time and memory for m terms.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from sapprox.engine import count_tail_hits
+from sapprox.engine import UNIT_ROUNDOFF, count_tail_hits, recurrence_error
 from sapprox.model import ParameterError, ProblemSpec, Rademacher
-from sapprox.weights import h_norm, recurrence_factors
+from sapprox.weights import h_norm, recurrence_factors, recursion_weights
 
-ENUMERATION_MAX_N = 22
+ENUMERATION_MAX_N = 40
+# left sums and undecided pairs are handled this many at a time
+_SPLIT_CHUNK = 1 << 16
 
 
 def horizon_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
@@ -184,63 +190,136 @@ def estimate_tail(
     )
 
 
-def _sign_pattern_sums(factors: Sequence[float], steps: Sequence[float]) -> np.ndarray:
-    """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0, for each of the 2^(m-1)
-    sign patterns xi in {-1, +1}^m with xi_0 = +1 (m = len(steps) >= 1).
+def _pattern_values(factors: Sequence[float], steps: Sequence[float],
+                    patterns: np.ndarray) -> np.ndarray:
+    """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0 (m = len(steps) >= 1),
+    for each sign pattern: xi_0 = +1, and xi_k = -1 exactly when bit k-1 of
+    the pattern is set.
 
-    The patterns with xi_0 = -1 give exactly the negated sums, because
-    round-to-nearest is symmetric in sign, so this half fixes every |s_m|.
-    Level k+1 is built in place by doubling: the first `size` entries
-    become f_k s + a_k and the next `size` become f_k s - a_k.  Each value
-    takes the same two roundings per step as the pattern evaluated on its
-    own, so results are bitwise those of the per-pattern recurrence.
+    Each value takes the same two roundings per step as the pattern
+    evaluated on its own, so results are bitwise those of the per-pattern
+    recurrence.  The patterns with xi_0 = -1 give exactly the negated sums,
+    because round-to-nearest is symmetric in sign.
     """
-    m = len(steps)
-    s = np.empty(1 << (m - 1))
-    s[0] = steps[0]  # f_0 * 0 + a_0
-    size = 1
-    for k in range(1, m):
-        lo, hi = s[:size], s[size:2 * size]
-        np.multiply(lo, factors[k], out=hi)
-        hi -= steps[k]
-        lo *= factors[k]
-        lo += steps[k]
-        size *= 2
+    s = np.full(len(patterns), float(steps[0]))  # f_0 * 0 + a_0
+    for k in range(1, len(steps)):
+        s *= factors[k]
+        s += np.where((patterns >> (k - 1)) & 1, -steps[k], steps[k])
     return s
 
 
-def _pattern_tail(factors: Sequence[float], steps: Sequence[float], threshold: float) -> Fraction:
-    """Exact fraction of the 2^m sign patterns with |s_m| > threshold."""
+def _signed_sums(first: float, weights: np.ndarray) -> np.ndarray:
+    """first + sum_r xi_r w_r, summed left to right, for every sign pattern:
+    xi_r = -1 exactly when bit r of the entry's index is set."""
+    s = np.array([first])
+    for w in weights:
+        s = np.concatenate((s + w, s - w))
+    return s
+
+
+def _split_guard(weights: np.ndarray, error: float, threshold: float) -> float:
+    """Twice a bound on |a + b - s_m| (error plus m ulps of sum |w_k| for
+    the two left-to-right sums), plus 4 ulps of t + sum |w_k| for the
+    rounding of t +- guard - a.  FloatingPointError when not finite."""
+    total = float(np.sum(np.abs(weights)))
+    guard = (2.0 * (error + len(weights) * UNIT_ROUNDOFF * total)
+             + 4.0 * UNIT_ROUNDOFF * (threshold + total))
+    if not math.isfinite(guard):
+        raise FloatingPointError("the signed sums overflow float64")
+    return guard
+
+
+def _window_pairs(rows: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """(row, position) index arrays of every pair in the windows
+    [first_r, first_r + count_r) of rows r, _SPLIT_CHUNK pairs at a time."""
+    ends = np.cumsum(count)
+    total = int(ends[-1])
+    for p in range(0, total, _SPLIT_CHUNK):
+        pos = np.arange(p, min(p + _SPLIT_CHUNK, total))
+        w = np.searchsorted(ends, pos, "right")
+        yield rows[w], first[w] + pos - (ends[w] - count[w])
+
+
+def _split_tail(weights: np.ndarray, factors: Sequence[float], steps: Sequence[float],
+                error: float, threshold: float) -> Fraction:
+    """Exact fraction of the 2^m sign patterns whose per-pattern recurrence
+    (_pattern_values) has |s_m| > threshold, counted by meet in the middle.
+
+    s_m is within `error` of the exact sum_k xi_k w_k.  The patterns with
+    xi_0 = +1 are split into a left half a (terms 0..h-1, 2^(h-1) sums) and
+    a right half b (terms h..m-1, 2^(m-h) sums, sorted), and each a counts
+    the b with |a + b| beyond the threshold by `searchsorted`.  The guard
+    bounds |a + b - s_m|: `error`, the rounding of the two left-to-right
+    sums, and that of the bounds t +- guard - a.  Every pair within the
+    guard of +-t is re-evaluated by _pattern_values, so the count is that
+    of the forward recurrence, ties included.  Time and memory are about
+    2^(m/2) plus the number of such pairs.
+    """
     m = len(steps)
     if m == 0:
         return Fraction(int(0.0 > threshold))  # the one empty sum
-    s = _sign_pattern_sums(factors, steps)
-    hits = np.count_nonzero(np.abs(s, out=s) > threshold)
-    return Fraction(2 * int(hits), 1 << m)
+    if not 0.0 <= threshold < math.inf:  # NaN hits nothing, t < 0 everything
+        return Fraction(int(threshold < 0.0))
+    half = (m + 1) // 2
+    left = _signed_sums(weights[0], weights[1:half])
+    right = _signed_sums(0.0, weights[half:])
+    # the left sums descending, so that every searchsorted key ascends
+    left_order = np.argsort(left)[::-1]
+    left = left[left_order]
+    order = np.argsort(right)
+    right = right[order]
+    guard = _split_guard(weights, error, threshold)
+    outer, inner = threshold + guard, threshold - guard
+    hits = 0
+    for lo in range(0, len(left), _SPLIT_CHUNK):
+        a = left[lo:lo + _SPLIT_CHUNK]
+        # sorted positions: hits below `below` and from `above` on, misses
+        # in [mid_lo, mid_hi) (none when t <= guard), undecided pairs between
+        below = np.searchsorted(right, -outer - a, "left")
+        above = np.searchsorted(right, outer - a, "right")
+        mid_lo = np.searchsorted(right, -inner - a, "right")
+        mid_hi = np.maximum(mid_lo, np.searchsorted(right, inner - a, "left"))
+        hits += int(np.sum(below)) + len(a) * len(right) - int(np.sum(above))
+        rows = left_order[lo:lo + len(a)]
+        for first, stop in ((below, mid_lo), (mid_hi, above)):
+            for i, j in _window_pairs(rows, first, stop - first):
+                values = _pattern_values(factors, steps, i | (order[j] << (half - 1)))
+                hits += int(np.count_nonzero(np.abs(values) > threshold))
+    return Fraction(2 * hits, 1 << m)
 
 
 def enumerate_signed_sum_tail(weights: Sequence[float], threshold: float) -> Fraction:
     """Exact P(|sum_k w_k xi_k| > t) for independent fair signs xi_k.
 
-    Enumerates all 2^m sign patterns, each summed left to right in float64
-    (the doubling kernel with f_k = 1 and a_k = w_k); the count over 2^m is
-    returned as an exact dyadic fraction.
+    Counts all 2^m sign patterns, each summed left to right in float64
+    (the recurrence with f_k = 1 and a_k = w_k), by the split count; the
+    count over 2^m is returned as an exact dyadic fraction.  The weights
+    must be finite; FloatingPointError if their sums overflow float64.
     """
     w = np.asarray(weights, dtype=np.float64)
     if len(w) > ENUMERATION_MAX_N + 1:
         raise ValueError(f"too many terms for enumeration: {len(w)}")
-    return _pattern_tail(np.ones(len(w)), w, threshold)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    # a sum of m terms taken left to right is within (m - 1) ulps of
+    # sum |w_k| of the exact sum (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., eq. 4.4)
+    error = len(w) * UNIT_ROUNDOFF * float(np.sum(np.abs(w)))
+    return _split_tail(w, np.ones(len(w)), w, error, threshold)
 
 
 def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fraction:
-    """Exact P(|weighted sum| > threshold) for Rademacher noise by full
-    enumeration of the 2^(n+1) sign patterns.
+    """Exact P(|weighted sum| > threshold) for Rademacher noise over all
+    2^(n+1) sign patterns.
 
-    The recurrence runs on (f_k, a_k sigma) from weights.recurrence_factors,
-    so every pattern's statistic is bitwise the value of the forward
-    recurrence that the Monte Carlo path evaluates, and enumeration and
-    estimate agree at float level, not just in distribution.  Costs 2^n
-    float64 values (8 * 2^n bytes) and O(2^n) flops.  Requires n <= 22.
+    Each pattern's statistic is the forward recurrence on
+    (f_k, a_k sigma) from weights.recurrence_factors, bitwise the value that
+    the Monte Carlo path evaluates, so enumeration and estimate agree at
+    float level, not just in distribution.  The split count runs on the
+    weights sigma w_k of weights.recursion_weights, within
+    engine.recurrence_error of every such value, in about 2^(n/2) time and
+    memory.  Requires n <= ENUMERATION_MAX_N; FloatingPointError if the
+    weights overflow float64.
     """
     if not isinstance(spec.noise, Rademacher):
         raise ValueError("enumeration oracle requires Rademacher noise")
@@ -249,8 +328,11 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     spec.require_mdp_regime()
+    sigma = spec.noise.sigma
     factors, steps = recurrence_factors(spec.b, spec.c, n)
-    return _pattern_tail(factors, steps * spec.noise.sigma, threshold)
+    weights = recursion_weights(spec, n)[1] * sigma
+    error = recurrence_error(spec, "weighted_sum", n)
+    return _split_tail(weights, factors, steps * sigma, error, threshold)
 
 
 def oracle_tail(spec: ProblemSpec, target: str, n: int, threshold: float) -> Optional[Fraction]:

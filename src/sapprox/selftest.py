@@ -72,7 +72,7 @@ def _check_second_moment() -> Optional[str]:
     for n in range(0, 11):
         # half the patterns; the other half are their exact negations
         f, a = weights.recurrence_factors(spec.b, spec.c, n)
-        s = mdp._sign_pattern_sums(f, a * spec.noise.sigma)
+        s = mdp._pattern_values(f, a * spec.noise.sigma, np.arange(1 << n))
         h = weights.h_norm(spec.b, spec.c, n)
         m2 = float(np.mean((h * s) ** 2))
         if abs(m2 - 1.0) > 1e-12:

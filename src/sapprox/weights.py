@@ -38,8 +38,13 @@ def beta(c: float, k: int, n: int) -> float:
         raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
     if k > n:
         return 1.0
-    f = recurrence_factors(1.0, c, n)[0][k:]
-    return float(f[0] * suffix_products(f)[0])
+    # f_n, ..., f_k as recurrence_factors builds them, in one array, then
+    # their running product from the last factor backwards, as
+    # suffix_products multiplies
+    f = np.arange(n + 1.0, k, -1.0)
+    np.divide(c, f, out=f)
+    f += 1.0
+    return float(np.cumprod(f, out=f)[-1])
 
 
 def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:

@@ -25,6 +25,29 @@ def weighted_sums_over_signs(spec, n: int, signs: np.ndarray) -> np.ndarray:
     return s
 
 
+def sign_pattern_sums(factors, steps) -> np.ndarray:
+    """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0, for each of the 2^(m-1)
+    sign patterns xi in {-1, +1}^m with xi_0 = +1 (m = len(steps) >= 1), by
+    doubling: level k+1 holds f_k s + a_k in its first half and f_k s - a_k
+    in its second, so entry i has xi_k = -1 exactly when bit k-1 of i is set.
+
+    Each value takes the two roundings per step of the pattern evaluated on
+    its own; this is the bitwise reference for the enumeration oracles.
+    """
+    m = len(steps)
+    s = np.empty(1 << (m - 1))
+    s[0] = steps[0]  # f_0 * 0 + a_0
+    size = 1
+    for k in range(1, m):
+        lo, hi = s[:size], s[size:2 * size]
+        np.multiply(lo, factors[k], out=hi)
+        hi -= steps[k]
+        lo *= factors[k]
+        lo += steps[k]
+        size *= 2
+    return s
+
+
 def drift_condition_failures(drift, halfwidth: float, points: int) -> list[str]:
     """Names of the drift conditions that fail on a uniform grid of points
     around x*: "lower_envelope" and "upper_envelope" (K1|u| <= |g| <= K2|u|),

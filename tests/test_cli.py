@@ -35,7 +35,7 @@ def write_config(tmp_path, **kwargs):
             "target": "weighted_sum",
             "gamma": 3.0,
             "r": 1.0,
-            "n_grid": [12, 40],
+            "n_grid": [12, 41],
             "replicas": 20000,
             "output": str(tmp_path / "rate.csv"),
         },
@@ -602,7 +602,7 @@ class TestRateCommand:
         assert main(["rate", "--config", str(path), "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle n=12" in out and "ok" in out  # n = 12 is enumerable
-        assert "oracle n=40" not in out  # n = 40 is not
+        assert "oracle n=41" not in out  # n = 41 is not
         header = (tmp_path / "rate.csv").read_text().splitlines()[0]
         assert header == (
             "n,b_n,threshold,replicas,hits,p_hat,ci_low,ci_high,rate,"
@@ -610,10 +610,10 @@ class TestRateCommand:
         )
 
     @pytest.mark.parametrize("overrides, uncovered", [
-        ([], "40"),
-        (["rate.target=recursion"], "12, 40"),
+        ([], "41"),
+        (["rate.target=recursion"], "12, 41"),
         (['noise={"kind": "two_point_adaptive", "sigma": 1.0, "p_min": 0.3, '
-          '"p_max": 0.7}'], "12, 40"),
+          '"p_max": 0.7}'], "12, 41"),
         (["rate.n_grid=[12, 16]"], None),
     ])
     def test_oracle_names_uncovered_rows(self, tmp_path, capsys, overrides, uncovered):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import weighted_sums_over_signs
+from references import sign_pattern_sums, weighted_sums_over_signs
 
+from sapprox import mdp
+from sapprox.engine import UNIT_ROUNDOFF, recurrence_error
 from sapprox.mdp import (
     Schedule,
     binomial_band,
@@ -26,7 +28,7 @@ from sapprox.model import (
     Rademacher,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta, h_norm
+from sapprox.weights import beta, h_norm, recurrence_factors, recursion_weights
 
 
 def rad_spec(b=1.0, alpha1=-2.0, sigma=1.0, x0=0.0):
@@ -166,7 +168,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             exact_tail_enumeration(tpa, 5, 0.1)
         with pytest.raises(ValueError):
-            exact_tail_enumeration(rad_spec(), 23, 0.1)
+            exact_tail_enumeration(rad_spec(), 41, 0.1)
+        with pytest.raises(ValueError):
+            enumerate_signed_sum_tail(np.ones(42), 0.1)
 
 
 class TestOracleTail:
@@ -185,8 +189,9 @@ class TestOracleTail:
         )
         assert oracle_tail(rad_spec(), "recursion", 10, 0.1) is None
         assert oracle_tail(tpa, "weighted_sum", 10, 0.1) is None
-        assert oracle_tail(rad_spec(), "weighted_sum", 23, 0.1) is None
-        assert oracle_tail(rad_spec(), "weighted_sum", 22, 0.1) is not None
+        # 0.1001 lies between the sums k / 1640 that c = -2 gives at n = 40
+        assert oracle_tail(rad_spec(), "weighted_sum", 41, 0.1001) is None
+        assert oracle_tail(rad_spec(), "weighted_sum", 40, 0.1001) is not None
 
 
 def around(values):
@@ -199,7 +204,7 @@ def around(values):
 
 
 class TestEnumerationKernel:
-    """The doubling kernel against per-pattern references built here."""
+    """The enumeration oracles against per-pattern references built here."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -252,8 +257,8 @@ class TestEnumerationKernel:
         assert exact_tail_enumeration(rad_spec(), 6, math.nan) == 0
 
     def test_memory_is_one_value_per_pattern_pair(self):
-        # 2^20 float64 values are 8 MiB; a sign matrix of the 2^21 patterns
-        # of n = 20 would peak above 500 MiB
+        # at most 2^20 float64 values, 8 MiB; a sign matrix of the 2^21
+        # patterns of n = 20 would peak above 500 MiB
         tracemalloc.start()
         try:
             exact_tail_enumeration(rad_spec(), 20, 0.3)
@@ -261,6 +266,130 @@ class TestEnumerationKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def tail_of(mags, threshold):
+    """Exact tail over 2 * len(mags) patterns whose other half are the
+    negations of the doubling kernel's values."""
+    return Fraction(2 * int(np.count_nonzero(mags > threshold)), 2 * len(mags))
+
+
+SPECIAL_THRESHOLDS = [0.0, -0.0, -0.5, -math.inf, math.inf, math.nan]
+
+
+class TestSplitCount:
+    """The split count of both oracles against the doubling kernel of
+    tests/references.py, whose values are bitwise the forward recurrence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.one_of(st.floats(-6.0, -1.01), st.sampled_from([-1.5, -2.0, -3.0, -5.0])),
+        b=st.floats(0.2, 3.0),
+        sigma=st.floats(0.1, 3.0),
+        n=st.integers(0, 22),
+        picks=st.lists(st.integers(0, 2**22 - 1), min_size=1, max_size=4),
+    )
+    def test_spec_oracle_matches_doubling(self, c, b, sigma, n, picks):
+        spec = ProblemSpec(LinearDrift(c / b, 0.0), Rademacher(sigma), b, 0.0)
+        f, a = recurrence_factors(spec.b, spec.c, n)
+        mags = np.abs(sign_pattern_sums(f, a * sigma))
+        for t in around(float(mags[p % len(mags)]) for p in picks) + SPECIAL_THRESHOLDS:
+            assert exact_tail_enumeration(spec, n, t) == tail_of(mags, t), t
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.one_of(
+            st.lists(
+                st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.1, 0.5, -1.0])),
+                min_size=1, max_size=23,
+            ),
+            # one magnitude with random signs: many patterns tie at each sum
+            st.tuples(
+                st.sampled_from([0.1, 0.5, 1.0, 3.0, 1e-3]),
+                st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=23),
+            ).map(lambda p: [p[0] * x for x in p[1]]),
+        ),
+        picks=st.lists(st.integers(0, 2**22 - 1), min_size=1, max_size=4),
+    )
+    def test_signed_sum_matches_doubling(self, w, picks):
+        mags = np.abs(sign_pattern_sums(np.ones(len(w)), np.array(w)))
+        for t in around(float(mags[p % len(mags)]) for p in picks) + SPECIAL_THRESHOLDS:
+            assert enumerate_signed_sum_tail(w, t) == tail_of(mags, t), t
+
+    @pytest.mark.parametrize("n", range(23))
+    def test_every_horizon_matches_doubling(self, n):
+        rng = np.random.default_rng(n)
+        # c = -2 puts the sums on the multiples of 1/(n(n+1)): ties
+        for spec in (rad_spec(), rad_spec(b=1.9, alpha1=-1.35, sigma=0.8)):
+            f, a = recurrence_factors(spec.b, spec.c, n)
+            mags = np.abs(sign_pattern_sums(f, a * spec.noise.sigma))
+            picks = rng.integers(0, len(mags), size=4)
+            for t in around(mags[picks].tolist()) + SPECIAL_THRESHOLDS:
+                assert exact_tail_enumeration(spec, n, t) == tail_of(mags, t), t
+        for w in (rng.uniform(-1.0, 1.0, n + 1), np.full(n + 1, 0.1)):
+            mags = np.abs(sign_pattern_sums(np.ones(n + 1), w))
+            picks = rng.integers(0, len(mags), size=4)
+            for t in around(mags[picks].tolist()) + SPECIAL_THRESHOLDS:
+                assert enumerate_signed_sum_tail(w, t) == tail_of(mags, t), t
+
+    def test_split_sums_well_inside_guard(self):
+        worst = 0.0
+        cases = []
+        for c, b, sigma, n in itertools.product(
+            (-1.01, -2.0, -2.7, -6.0), (0.5, 1.0, 2.5), (0.3, 1.0, 2.0), (0, 1, 5, 12, 20)
+        ):
+            spec = ProblemSpec(LinearDrift(c / b, 0.0), Rademacher(sigma), b, 0.0)
+            f, a = recurrence_factors(spec.b, spec.c, n)
+            w = recursion_weights(spec, n)[1] * sigma
+            cases.append((w, f, a * sigma, recurrence_error(spec, "weighted_sum", n)))
+        rng = np.random.default_rng(7)
+        for m in (1, 2, 9, 21):
+            # left-to-right sums: the error bound enumerate_signed_sum_tail uses
+            w = rng.uniform(-5.0, 5.0, m)
+            error = m * UNIT_ROUNDOFF * float(np.sum(np.abs(w)))
+            cases.append((w, np.ones(m), w, error))
+        for w, f, steps, error in cases:
+            half = (len(w) + 1) // 2
+            left = mdp._signed_sums(w[0], w[1:half])
+            right = mdp._signed_sums(0.0, w[half:])
+            # pattern i + 2^(half-1) j pairs left sum i with right sum j
+            split = (right[:, None] + left[None, :]).ravel()
+            err = float(np.max(np.abs(split - sign_pattern_sums(f, steps))))
+            guard = mdp._split_guard(w, error, 0.0)
+            assert err <= guard / 10, (w, err, guard)
+            worst = max(worst, err / guard)
+        assert worst > 0.0  # the sums differ, so the guard is exercised
+
+    def test_pattern_values_are_the_doubling_kernel(self):
+        for n in (0, 1, 6, 13):
+            f, a = recurrence_factors(1.3, -2.7, n)
+            got = mdp._pattern_values(f, 0.7 * a, np.arange(1 << n))
+            assert got.tobytes() == sign_pattern_sums(f, 0.7 * a).tobytes()
+
+    def test_memory_at_forty(self):
+        # 2^20 sums per half, 8 MiB each; the split count holds five such
+        # arrays, where the doubling kernel would need 2^40 values (8 TiB)
+        spec = rad_spec(b=1.7, alpha1=-1.3)
+        tracemalloc.start()
+        try:
+            p = exact_tail_enumeration(spec, 40, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < p < 1 and p.denominator > 2**30
+        assert peak <= 64 * 2**20
+
+    def test_rejects_non_finite_and_overflowing_weights(self):
+        with pytest.raises(ValueError):
+            enumerate_signed_sum_tail([1.0, math.inf], 0.5)
+        with pytest.raises(ValueError):
+            enumerate_signed_sum_tail([1.0, math.nan], 0.5)
+        # numpy's own overflow warning is silenced; the error is the oracle's
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                enumerate_signed_sum_tail([1e308, 1e308, 1e308], 0.5)
+            with pytest.raises(FloatingPointError):
+                exact_tail_enumeration(rad_spec(alpha1=-1e200), 3, 0.5)
 
 
 class TestEstimateTail:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestBeta:
 
     def test_large_horizon_no_overflow(self):
         assert 0.0 < beta(-2.0, 10, 10**7) < 1.0
+
+    def test_memory_is_one_array_of_factors(self):
+        # f_10..f_n alone are 76 MiB at n = 10^7; building the factors of
+        # recurrence_factors, step array included, and their suffix products
+        # peaked at 229 MiB
+        tracemalloc.start()
+        try:
+            beta(-2.0, 10, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
 
 
 class TestBetaBounds:
