@@ -27,11 +27,11 @@ def azuma_tail(t: float, ranges: Sequence[tuple[float, float]]) -> float:
     Degenerate ranges (all a_k = b_k, including the empty sum) give 0 for
     t > 0 and 1 for t = 0.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError(f"t must be >= 0, got {t}")
     ssq = 0.0
     for a, b in ranges:
-        if a > b:
+        if not a <= b:
             raise ValueError(f"invalid range ({a}, {b}): lower end above upper")
         w = b - a
         ssq += w * w

@@ -19,7 +19,9 @@ separates the two draw kinds:
 The scalar ReplicaStream and its block twin BlockStream evaluate the same
 functions and hand out only these bits and uniforms; the scalar and block
 samplers of a noise model (sapprox.model) both map them to draws through the
-model's one value table, so a batch row equals the single-replica run.
+model's one value table, so a batch row equals the single-replica run: bit
+for bit with linear drift, and to a relative 1e-12 with sine drift, whose
+vectorized np.sin may take a SIMD kernel that rounds differently.
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
 
@@ -40,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from sapprox.model import LinearDrift, ProblemSpec, Rademacher, eval_g
+from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
@@ -188,7 +190,7 @@ class Decomposition:
 
 def step(spec: ProblemSpec, x: float, k: int, u: float) -> float:
     """One recursion update: x + b/(k+1) * (g(x) + u)."""
-    return x + (spec.b / (k + 1.0)) * (eval_g(spec.drift, x) + u)
+    return x + (spec.b / (k + 1.0)) * (float(spec.drift(x)) + u)
 
 
 def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica: int = 0):
@@ -251,7 +253,7 @@ def taylor_decompose(traj: Trajectory) -> Decomposition:
     drift = spec.drift
     beta0, coef = recursion_weights(spec, traj.horizon)
     dev = traj.xs[:-1] - drift.x_star
-    g_vals = eval_g(drift, traj.xs[:-1])
+    g_vals = drift(traj.xs[:-1])
     remainder = g_vals - drift.gprime_star * dev
     i1 = beta0 * (traj.xs[0] - drift.x_star)
     i2 = float(np.sum(coef * remainder))
@@ -336,8 +338,7 @@ def _run_block(spec: ProblemSpec, target: str, horizons: Sequence[int], seed: in
     for k in range(n_max + 1):
         draw(k, ubuf)
         if target == "recursion":
-            np.subtract(x, x_star, out=gbuf)
-            spec.drift.apply_to_deviation(gbuf)
+            spec.drift.of_deviation(np.subtract(x, x_star, out=gbuf))
             gbuf += ubuf
             gbuf *= bk[k]
             x += gbuf

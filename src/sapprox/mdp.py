@@ -165,8 +165,8 @@ def estimate_tail(
     spec.require_mdp_regime()
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if r < 0 or not b_n > 0:
-        raise ValueError(f"need r >= 0 and b_n > 0, got r={r}, b_n={b_n}")
+    if not (r >= 0 and 0 < b_n < math.inf):  # written so that NaN fails
+        raise ValueError(f"need r >= 0 and finite b_n > 0, got r={r}, b_n={b_n}")
     h = h_norm(spec.b, spec.c, n)
     threshold = r * b_n / h
     result = count_tail_hits(

@@ -6,6 +6,10 @@ Drifts satisfy, for all x,
     K1 |x - x*| <= |g(x)| <= K2 |x - x*|,   |g''(x)| <= Ka,
     (x - x*) g(x) <= 0,   g(x*) = 0,   g'(x*) < 0.
 
+Every drift is one law, g(x) = -c1 u - c2 sin u with u = x - x* and
+c1 > c2 >= 0, written once with its constants and its kernel; linear drift
+is the member with c2 = 0.
+
 Noise models are a two-point law per state, held as data: a value table
 whose conditional mean is 0 and conditional second moment sigma^2 in every
 state, with every value bounded by Ku, the largest magnitude in the table.
@@ -39,66 +43,13 @@ class _Model:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
-@dataclass(frozen=True)
-class LinearDrift(_Model):
-    """g(x) = alpha1 * (x - x_star) with alpha1 < 0.
-
-    The boundary case with zero curvature: K1 = K2 = |alpha1|, Ka = 0, so
-    the Taylor remainder vanishes identically.
-    """
-
-    kind = "linear"
-
-    alpha1: float
-    x_star: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.alpha1 < 0:
-            raise ParameterError(f"alpha1 must be negative, got {self.alpha1}", "alpha1")
-
-    @property
-    def gprime_star(self) -> float:
-        return self.alpha1
-
-    @property
-    def K1(self) -> float:
-        return abs(self.alpha1)
-
-    @property
-    def K2(self) -> float:
-        return abs(self.alpha1)
-
-    @property
-    def Ka(self) -> float:
-        return 0.0
-
-    def __call__(self, x):
-        return self.alpha1 * (x - self.x_star)
-
-    def apply_to_deviation(self, dev: np.ndarray) -> None:
-        """dev <- g(x) in place, given dev = x - x_star."""
-        dev *= self.alpha1
-
-
-@dataclass(frozen=True)
-class SineLinearDrift(_Model):
-    """g(x) = -c1 * u - c2 * sin(u) with u = x - x_star and c1 > c2 > 0.
+class _Drift(_Model):
+    """g(x) = -c1 * u - c2 * sin(u) with u = x - x_star: each kind supplies
+    c1 and c2, and linear drift is the member with c2 = 0.
 
     Globally |sin u| <= |u| gives K1 = c1 - c2 and K2 = c1 + c2, while
     g''(u) = c2 sin(u) gives Ka = c2; the slope at the root is -(c1 + c2).
     """
-
-    kind = "sine_linear"
-
-    c1: float
-    c2: float
-    x_star: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.c1 > self.c2 > 0):
-            raise ParameterError(
-                f"need c1 > c2 > 0, got c1={self.c1}, c2={self.c2}", "c1", "c2"
-            )
 
     @property
     def gprime_star(self) -> float:
@@ -117,28 +68,65 @@ class SineLinearDrift(_Model):
         return self.c2
 
     def __call__(self, x):
-        u = x - self.x_star
-        return -self.c1 * u - self.c2 * np.sin(u)
+        return self.of_deviation(x - self.x_star)
 
-    def apply_to_deviation(self, dev: np.ndarray) -> None:
-        """dev <- g(x) in place, given dev = x - x_star."""
-        # (-c1) u + (-c2) sin u is bitwise -(c1 u + c2 sin u): negation is
-        # exact and round-to-nearest is symmetric about zero
-        t = np.sin(dev)
+    def of_deviation(self, u):
+        """g(x_star + u): a float for a float, while an array u is
+        overwritten with the result and returned."""
+        # c2 = 0 skips a sin per element, and 0 * sin(u) would make an
+        # infinite u NaN; with c2 > 0, (-c1) u + (-c2) sin u is bitwise
+        # -c1 u - c2 sin u: negation is exact and rounding symmetric
+        if self.c2 == 0:
+            u *= -self.c1
+            return u
+        t = np.sin(u)
         t *= -self.c2
-        dev *= -self.c1
-        dev += t
+        u *= -self.c1
+        u += t
+        return u
+
+
+@dataclass(frozen=True)
+class LinearDrift(_Drift):
+    """g(x) = alpha1 * (x - x_star) with alpha1 < 0: c1 = -alpha1, c2 = 0.
+
+    The boundary case with zero curvature: K1 = K2 = |alpha1|, Ka = 0, so
+    the Taylor remainder vanishes identically.
+    """
+
+    kind = "linear"
+    c2 = 0.0
+
+    alpha1: float
+    x_star: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.alpha1 < 0:
+            raise ParameterError(f"alpha1 must be negative, got {self.alpha1}", "alpha1")
+
+    @property
+    def c1(self) -> float:
+        return -self.alpha1
+
+
+@dataclass(frozen=True)
+class SineLinearDrift(_Drift):
+    """g(x) = -c1 * u - c2 * sin(u) with u = x - x_star and c1 > c2 > 0."""
+
+    kind = "sine_linear"
+
+    c1: float
+    c2: float
+    x_star: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (self.c1 > self.c2 > 0):
+            raise ParameterError(
+                f"need c1 > c2 > 0, got c1={self.c1}, c2={self.c2}", "c1", "c2"
+            )
 
 
 DriftFunction = Union[LinearDrift, SineLinearDrift]
-
-
-def eval_g(drift: DriftFunction, x):
-    """Evaluate the drift at x (scalar or array)."""
-    y = drift(x)
-    if isinstance(x, np.ndarray):
-        return y
-    return float(y)
 
 
 @dataclass(frozen=True)

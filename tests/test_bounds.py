@@ -39,6 +39,19 @@ class TestAzumaTail:
         with pytest.raises(ValueError):
             azuma_tail(-0.5, [(-1.0, 1.0)])
 
+    @pytest.mark.parametrize("t, ranges", [
+        (math.nan, [(-1.0, 1.0)]),
+        (1.0, [(math.nan, 1.0)]),
+        (1.0, [(-1.0, math.nan)]),
+        (1.0, [(-1.0, 1.0), (math.nan, math.nan)]),
+    ])
+    def test_rejects_nan(self, t, ranges):
+        with pytest.raises(ValueError):
+            azuma_tail(t, ranges)
+
+    def test_infinite_threshold_gives_limit_zero(self):
+        assert azuma_tail(math.inf, [(-1.0, 1.0)]) == 0.0
+
     def test_dominates_exact_same_sign_tail(self):
         # n symmetric unit ranges at t = n: exact tail is 2 * 2^{-n}
         for n in range(1, 21):

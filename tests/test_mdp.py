@@ -489,6 +489,14 @@ class TestEstimateTail:
         with pytest.raises(ValueError):
             estimate_tail("weighted_sum", weak, 10, 1.0, 1.5, 100, 0)
 
+    @pytest.mark.parametrize("r, b_n", [
+        (-0.5, 1.5), (math.nan, 1.5), (1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
+        (1.0, math.inf),
+    ])
+    def test_rejects_out_of_range_r_and_b_n(self, r, b_n):
+        with pytest.raises(ValueError):
+            estimate_tail("weighted_sum", rad_spec(), 10, r, b_n, 100, 0)
+
 
 class TestRateCurve:
     def test_grid_and_limit(self):

@@ -14,7 +14,6 @@ from sapprox.model import (
     Rademacher,
     SineLinearDrift,
     TwoPointAdaptive,
-    eval_g,
 )
 
 
@@ -43,25 +42,78 @@ class TestDriftConstruction:
 
 
 class TestEvalG:
+    """g evaluated by calling the drift."""
+
     def test_linear_value(self):
-        assert eval_g(LinearDrift(-1.0, 0.0), 0.5) == -0.5
+        assert LinearDrift(-1.0, 0.0)(0.5) == -0.5
 
     def test_sine_linear_at_root(self):
-        assert eval_g(SineLinearDrift(2.0, 1.0, 0.0), 0.0) == 0.0
+        assert SineLinearDrift(2.0, 1.0, 0.0)(0.0) == 0.0
 
     def test_sine_linear_at_pi(self):
-        got = eval_g(SineLinearDrift(2.0, 1.0, 0.0), math.pi)
+        got = SineLinearDrift(2.0, 1.0, 0.0)(math.pi)
         assert got == pytest.approx(-2.0 * math.pi, rel=1e-15)
 
     def test_exact_zero_at_stable_point(self):
-        assert eval_g(LinearDrift(-2.7, 1.25), 1.25) == 0.0
-        assert eval_g(SineLinearDrift(3.0, 0.5, -4.5), -4.5) == 0.0
+        assert LinearDrift(-2.7, 1.25)(1.25) == 0.0
+        assert SineLinearDrift(3.0, 0.5, -4.5)(-4.5) == 0.0
 
     def test_array_input(self):
         xs = np.linspace(-3, 3, 7)
-        got = eval_g(SineLinearDrift(2.0, 1.0, 0.0), xs)
+        got = SineLinearDrift(2.0, 1.0, 0.0)(xs)
         want = -2.0 * xs - np.sin(xs)
         assert np.array_equal(got, want)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+class TestDriftLaw:
+    @pytest.mark.parametrize("kind", sorted(DRIFT_MODELS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_of_deviation_is_the_written_out_formula(self, kind, data):
+        # floats against floats and arrays against arrays: a vectorized sin
+        # may round differently from the scalar one
+        drift = data.draw(DRIFT_MODELS[kind])
+        us = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+        if kind == "linear":
+            def formula(u):
+                return drift.alpha1 * u
+        else:
+            def formula(u):
+                return -drift.c1 * u - drift.c2 * np.sin(u)
+        for u in us:
+            got = drift.of_deviation(u)
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(formula(u))
+        arr = np.array(us)
+        want = formula(arr.copy())
+        out = arr.copy()
+        assert drift.of_deviation(out) is out
+        assert _bits(out) == _bits(want)
+        xs = drift.x_star + arr
+        before = xs.copy()
+        assert _bits(drift(xs)) == _bits(formula(xs - drift.x_star))
+        assert _bits(xs) == _bits(before)  # calling the drift leaves x alone
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha1=st.floats(-1e6, -1e-6), x_star=st.floats(-5.0, 5.0))
+    def test_linear_constants_bitwise(self, alpha1, x_star):
+        lin = LinearDrift(alpha1, x_star)
+        got = (lin.gprime_star, lin.K1, lin.K2, lin.Ka)
+        assert _bits(got) == _bits((alpha1, -alpha1, -alpha1, 0.0))
+
+    def test_describe_and_fingerprint_pinned(self):
+        lin = ProblemSpec(LinearDrift(-1.3, 0.4), TwoPointAdaptive(1.1, 0.3, 0.7), 1.5, 1.0)
+        assert lin.drift.describe() == {"kind": "linear", "alpha1": -1.3, "x_star": 0.4}
+        assert lin.fingerprint() == "bac62481497c2114"
+        sine = ProblemSpec(SineLinearDrift(2.0, 0.5, -0.25), Rademacher(0.8), 1.5, 1.0)
+        assert sine.drift.describe() == {
+            "kind": "sine_linear", "c1": 2.0, "c2": 0.5, "x_star": -0.25
+        }
+        assert sine.fingerprint() == "05a97d5f8020a2e5"
 
 
 class TestDriftConditions:
