@@ -16,12 +16,15 @@ separates the two draw kinds:
   * Sign bit at step k: bit (k mod 64) of z(i, k // 64; D_SIGN).
   * Uniform at step k: the top 53 bits of z(i, k; D_UNIF) scaled to [0, 1).
 
-The scalar ReplicaStream and its block twin BlockStream evaluate the same
-functions and hand out only these bits and uniforms; the scalar and block
-samplers of a noise model (sapprox.model) both map them to draws through the
-model's one value table, so a batch row equals the single-replica run: bit
-for bit with linear drift, and to a relative 1e-12 with sine drift, whose
-vectorized np.sin may take a SIMD kernel that rounds differently.
+The scalar ReplicaStream and its block twin BlockStream hand out the same
+bits and uniforms, and a noise model's scalar and block samplers (sapprox.model)
+map them to draws through its one value table.  Each target (TARGETS) is
+one kernel for floats and arrays, x + a_k (g(x) + u) for the recursion and
+f_k s + a_k u for the weighted sum, on the factors of
+weights.recurrence_factors.  The scalar path, the block loop and the
+enumeration oracle all step it, so a batch row equals the single-replica
+run: bit for bit with linear drift, and to a relative 1e-12 with sine
+drift, whose vectorized np.sin may round differently.
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
 
@@ -43,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher
-from sapprox.weights import recurrence_factors, recursion_weights, suffix_products
+from sapprox.weights import _factors, recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -188,53 +191,95 @@ class Decomposition:
         return self.i1 + self.i2 + self.i3
 
 
+class _Recursion:
+    """X_k from x0, with deviation X_k - x*, which an envelope bounds."""
+
+    symbol, bounded = "X", True
+
+    def __init__(self, spec: ProblemSpec):
+        self.drift, self.start, self.origin = spec.drift, spec.x0, spec.drift.x_star
+
+    def kernel(self, x, f, a, u):
+        """x + a (g(x) + u), f unused: an array x is updated in place."""
+        t = self.drift(x)
+        t += u
+        t *= a
+        x += t
+        return x
+
+
+class _WeightedSum:
+    """S_k from 0, the noise part of the linearization; needs b g'(x*) < -1."""
+
+    symbol, bounded, start, origin = "S", False, 0.0, 0.0
+
+    def __init__(self, spec: ProblemSpec):
+        spec.require_mdp_regime()
+
+    @staticmethod
+    def kernel(s, f, a, u):
+        """f s + a u: an array s is updated in place, and an array u overwritten."""
+        s *= f
+        u *= a
+        s += u
+        return s
+
+
+# what a tail count follows: the recursion, or its linearization's noise sum
+_TARGETS = {"recursion": _Recursion, "weighted_sum": _WeightedSum}
+TARGETS = tuple(_TARGETS)
+
+
+def _target(spec: ProblemSpec, target: str):
+    """The statistic of spec that the target name of TARGETS follows."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    return _TARGETS[target](spec)
+
+
 def step(spec: ProblemSpec, x: float, k: int, u: float) -> float:
     """One recursion update: x + b/(k+1) * (g(x) + u)."""
-    return x + (spec.b / (k + 1.0)) * (float(spec.drift(x)) + u)
+    return float(_Recursion(spec).kernel(x, *_factors(spec.b, spec.c, k + 1.0), u))
 
 
-def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica: int = 0):
-    """Run the recursion to X_{n+1}.
-
-    Returns a Trajectory when record is on, else only the final deviation
-    X_{n+1} - x* in O(1) memory.  Deterministic given (spec, n, seed,
-    replica).
-    """
+def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
+                 record: bool = False):
+    """(final deviation, states, draws) of one replica of the statistic stat
+    (_target), stepped by its kernel on floats with step k's factors, in
+    O(1) memory unless record asks for the state and draw arrays."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     draw = spec.noise.sampler(ReplicaStream(seed, replica))
-    x = spec.x0
-    if record:
-        xs = np.empty(n + 2)
-        us = np.empty(n + 1)
-        xs[0] = x
+    b, c, kernel, state = spec.b, spec.c, stat.kernel, stat.start
+    xs, us = (np.full(n + 2, state), np.empty(n + 1)) if record else (None, None)
     for k in range(n + 1):
         u = draw(k)
-        x = step(spec, x, k, u)
+        state = kernel(state, *_factors(b, c, k + 1.0), u)
         if record:
-            xs[k + 1] = x
-            us[k] = u
-    if not math.isfinite(x):  # once a state is NaN or inf, every later one is
-        raise FloatingPointError(f"X_{n + 1} is not finite (the recursion overflowed float64)")
-    if record:
-        return Trajectory(xs=xs, us=us, spec=spec)
-    return x - spec.drift.x_star
+            xs[k + 1], us[k] = state, u
+    if not math.isfinite(state):  # once a state is NaN or inf, every later one is
+        raise FloatingPointError(
+            f"{stat.symbol}_{n + 1} is not finite (the recursion overflowed float64)"
+        )
+    return float(state - stat.origin), xs, us
+
+
+def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica: int = 0):
+    """Run the recursion to X_{n+1}: a Trajectory when record is on, else
+    only the final deviation X_{n+1} - x* in O(1) memory.  Deterministic
+    given (spec, n, seed, replica)."""
+    dev, xs, us = _scalar_path(spec, _target(spec, "recursion"), n, seed, replica, record)
+    return Trajectory(xs=xs, us=us, spec=spec) if record else dev
 
 
 def weighted_sum(spec: ProblemSpec, n: int, seed: int, replica: int = 0) -> float:
     """b * sum_{k=0}^{n} beta(c, k+1, n) / (k+1) * U_{k+1} with c = b g'(x*).
 
-    Evaluated by the forward recurrence s <- f_k s + a_k U_{k+1} over
-    weights.recurrence_factors, one sweep; this is the noise part of the
-    linearized recursion started at the root.  Requires b g'(x*) < -1.
+    Evaluated by the forward recurrence s <- f_k s + a_k U_{k+1} in one
+    sweep; this is the noise part of the linearized recursion started at
+    the root.  Requires b g'(x*) < -1; FloatingPointError on overflow.
     """
-    spec.require_mdp_regime()
-    f, a = recurrence_factors(spec.b, spec.c, n)
-    draw = spec.noise.sampler(ReplicaStream(seed, replica))
-    s = 0.0
-    for k, (fk, ak) in enumerate(zip(f.tolist(), a.tolist())):
-        s = fk * s + ak * draw(k)
-    return s
+    return _scalar_path(spec, _target(spec, "weighted_sum"), n, seed, replica)[0]
 
 
 def taylor_decompose(traj: Trajectory) -> Decomposition:
@@ -293,11 +338,6 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-# what a tail count follows: the deviation of the recursion, or the
-# weighted noise sum of its linearization
-TARGETS = ("recursion", "weighted_sum")
-
-
 @dataclass(frozen=True)
 class BatchResult:
     hits: int
@@ -305,53 +345,31 @@ class BatchResult:
     envelope_violations: int
 
 
-def _check_target(spec: ProblemSpec, target: str) -> None:
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    if target == "weighted_sum":
-        spec.require_mdp_regime()
-
-
-def _run_block(spec: ProblemSpec, target: str, horizons: Sequence[int], seed: int,
+def _run_block(spec: ProblemSpec, stat, horizons: Sequence[int], seed: int,
                lo: int, hi: int, envelope: Optional[np.ndarray] = None
                ) -> list[tuple[np.ndarray, int]]:
-    """Simulates replicas [lo, hi) step-synchronously to the last of the
+    """Steps stat (_target) on replicas [lo, hi) to the last of the
     increasing horizons; returns, for each horizon n, the deviations after
     step n and the envelope violations through step n."""
-    _check_target(spec, target)
     w = hi - lo
-    n_max = horizons[-1]
     stops = set(horizons)
     draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
-    ubuf = np.empty(w)
-    gbuf = np.empty(w)
-    fk, bk = recurrence_factors(spec.b, spec.c, n_max)
-    if target == "recursion":
-        x = np.full(w, spec.x0)
-        x_star = spec.drift.x_star
-    else:
-        s = np.zeros(w)
+    u = np.empty(w)
+    f, a = recurrence_factors(spec.b, spec.c, horizons[-1])
+    state = np.full(w, stat.start)
     if envelope is not None:
         beyond = np.empty(w, dtype=bool)
     violations = 0
     results = []
-    for k in range(n_max + 1):
-        draw(k, ubuf)
-        if target == "recursion":
-            spec.drift.of_deviation(np.subtract(x, x_star, out=gbuf))
-            gbuf += ubuf
-            gbuf *= bk[k]
-            x += gbuf
-            if envelope is not None:
-                np.abs(np.subtract(x, x_star, out=gbuf), out=gbuf)
-                np.greater(gbuf, envelope[k + 1], out=beyond)
-                violations += int(np.count_nonzero(beyond))
-        else:
-            s *= fk[k]
-            ubuf *= bk[k]
-            s += ubuf
+    for k in range(horizons[-1] + 1):
+        draw(k, u)
+        state = stat.kernel(state, f[k], a[k], u)
+        if envelope is not None:  # u is free until the next draw
+            np.abs(np.subtract(state, stat.origin, out=u), out=u)
+            np.greater(u, envelope[k + 1], out=beyond)
+            violations += int(np.count_nonzero(beyond))
         if k in stops:
-            results.append((x - x_star if target == "recursion" else s.copy(), violations))
+            results.append((state - stat.origin, violations))
     return results
 
 
@@ -392,10 +410,11 @@ def batch_final_deviations(
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    stat = _target(spec, target)
 
     def one(rng: tuple[int, int]) -> np.ndarray:
         lo, hi = rng
-        return _run_block(spec, target, (n,), seed, lo, hi)[0][0]
+        return _run_block(spec, stat, (n,), seed, lo, hi)[0][0]
 
     return np.concatenate(_map_blocks(one, replicas, workers))
 
@@ -419,32 +438,25 @@ _BYTE_COLUMNS = tuple(range(8)) if sys.byteorder == "little" else tuple(range(7,
 
 def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     """A bound on |computed - exact| for the final deviation that the
-    forward recurrence computes for the target, on every noise path: the
-    exact value is beta(c, 0, n) d0 + sum_k w_k U_{k+1} over the floats of
-    weights.recursion_weights, with d0 = x0 - x* for "recursion" and 0 for
-    "weighted_sum".
+    target's kernel (_target) computes, on every noise path, for any drift
+    under "weighted_sum" and linear drift under "recursion": the exact value
+    is beta(c, 0, n) d0 + sum_k w_k U_{k+1} over the floats of
+    weights.recursion_weights, with d0 = start - origin.
 
-    The recurrence is x <- x + (b/(k+1)) (g(x) + u) for "recursion" (bounded
-    here for linear drift only) and s <- f_k s + a_k u for "weighted_sum"
-    (any drift), f_k = 1 + c/(k+1).  The bound is E_{n+1} of the forward
-    error recurrence
-    E_{k+1} = |f_k| E_k + ulps (|x*| + B_{k+1} + (1 + |c|/(k+1)) B_k + b Ku/(k+1)),
+    The bound is E_{n+1} of the forward error recurrence
+    E_{k+1} = |f_k| E_k + ulps (|origin| + B_{k+1} + (1 + |c|/(k+1)) B_k + b Ku/(k+1)),
     with B the pathwise envelope of |d_k| (the partial sum bound for
     weighted_sum); it covers the rounding of the recurrence and of the
     weights.
     """
-    _check_target(spec, target)
-    if target == "recursion":
-        env, _ = envelope_bound(spec, n)
-        x_star = abs(spec.drift.x_star)
-    else:
-        env, _ = envelope_bound(replace(spec, x0=spec.drift.x_star), n)
-        x_star = 0.0
+    stat = _target(spec, target)
+    # the envelope of the path whose deviation starts at start - origin
+    env, _ = envelope_bound(replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), n)
     f, _ = recurrence_factors(spec.b, spec.c, n)
     k1 = np.arange(1.0, n + 2.0)
     spread = 1.0 + abs(spec.c) / k1
     tol = _GUARD_ULPS * UNIT_ROUNDOFF
-    local = tol * (x_star + env[1:] + spread * env[:-1] + spec.b * spec.noise.Ku / k1)
+    local = tol * (abs(stat.origin) + env[1:] + spread * env[:-1] + spec.b * spec.noise.Ku / k1)
     # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
     return float(suffix_products(np.abs(f) + tol * spread) @ local)
 
@@ -455,7 +467,7 @@ class _LinearRademacherTail:
     With g(x) = alpha1 (x - x*) the final deviation is exactly
     beta(c, 0, n) d0 + sum_k w_k U_{k+1} (weights.recursion_weights), where
     U_{k+1} = values[bit] is the noise's value table indexed by the step-k
-    sign bit and d0 = x0 - x* for the recursion target, 0 for weighted_sum.
+    sign bit and d0 = start - origin of the target (_target).
     Bits 8m..8m+7 of the 64-step hash word j are the sign bits of steps
     64j+8m..64j+8m+7, so word j adds T_j[m, byte_m] with the 8x256 table
     T_j[m, v] = sum_r w_{64j+8m+r} values[bit r of v], for the columns m
@@ -472,10 +484,7 @@ class _LinearRademacherTail:
     """
 
     def __init__(self, spec: ProblemSpec, target: str, n: int):
-        _check_target(spec, target)
-        self.spec = spec
-        self.target = target
-        self.n = n
+        self.spec, self.n, self._stat = spec, n, _target(spec, target)
         beta0, w = recursion_weights(spec, n)
         self.words = n // 64 + 1
         padded = np.zeros(64 * self.words)
@@ -483,10 +492,7 @@ class _LinearRademacherTail:
         self._word_weights = padded.reshape(self.words, 8, 8)
         self._columns = [min(8, (n - 64 * j) // 8 + 1) for j in range(self.words)]
         self._byte_values = np.asarray(spec.noise.values)[_BYTE_BITS]
-        if target == "recursion":
-            self.start = beta0 * (spec.x0 - spec.drift.x_star)
-        else:
-            self.start = 0.0
+        self.start = beta0 * (self._stat.start - self._stat.origin)
         # the start plus 8 entries per word are summed, each entry a sum of 8
         terms = 8 * self.words + 9
         summation = terms * UNIT_ROUNDOFF * (
@@ -513,13 +519,8 @@ class _LinearRademacherTail:
              inclusive: bool) -> int:
         mags = np.abs(self.deviations(seed, lo, hi))
         for i in np.flatnonzero(np.abs(mags - threshold) <= self.guard):
-            mags[i] = abs(self._reference(seed, lo + int(i)))
+            mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, lo + int(i))[0])
         return _count_beyond(mags, threshold, inclusive)
-
-    def _reference(self, seed: int, replica: int) -> float:
-        if self.target == "recursion":
-            return simulate(self.spec, self.n, seed, record=False, replica=replica)
-        return weighted_sum(self.spec, self.n, seed, replica=replica)
 
 
 def count_tail_hits(
@@ -568,8 +569,7 @@ def count_tail_hits_grid(
     through step horizons[i].  The closed form shares nothing across
     horizons (its weights depend on n) and is evaluated per horizon.
     """
-    horizons = tuple(horizons)
-    thresholds = tuple(thresholds)
+    horizons, thresholds = tuple(horizons), tuple(thresholds)
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if not horizons:
@@ -583,9 +583,10 @@ def count_tail_hits_grid(
             f"need one threshold per horizon, got {len(thresholds)} for "
             f"{len(horizons)} horizons"
         )
+    stat = _target(spec, target)
     if envelope is not None:
-        if target == "weighted_sum":
-            raise ValueError("an envelope bounds |X_k - x*|; target 'weighted_sum' has none")
+        if not stat.bounded:
+            raise ValueError(f"an envelope bounds |X_k - x*|; target {target!r} has none")
         if len(envelope) < horizons[-1] + 2:
             raise ValueError(
                 f"envelope needs B_0..B_{{n+1}}, {horizons[-1] + 2} entries for "
@@ -595,25 +596,20 @@ def count_tail_hits_grid(
     if (envelope is None and isinstance(spec.drift, LinearDrift)
             and isinstance(spec.noise, Rademacher)):
         closed_forms = [_LinearRademacherTail(spec, target, n) for n in horizons]
-        if not all(math.isfinite(kernel.guard) for kernel in closed_forms):
+        if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
 
     def one(rng: tuple[int, int]) -> list[tuple[int, int]]:
         lo, hi = rng
         if closed_forms is not None:
-            return [(kernel.hits(seed, lo, hi, t, inclusive), 0)
-                    for kernel, t in zip(closed_forms, thresholds)]
-        rows = _run_block(spec, target, horizons, seed, lo, hi, envelope)
+            return [(form.hits(seed, lo, hi, t, inclusive), 0)
+                    for form, t in zip(closed_forms, thresholds)]
+        rows = _run_block(spec, stat, horizons, seed, lo, hi, envelope)
         return [(_count_beyond(np.abs(devs), t, inclusive), violations)
                 for (devs, violations), t in zip(rows, thresholds)]
 
     parts = _map_blocks(one, replicas, workers)
-    return tuple(
-        BatchResult(
-            hits=sum(p[i][0] for p in parts),
-            replicas=replicas,
-            envelope_violations=sum(p[i][1] for p in parts),
-        )
-        for i in range(len(horizons))
-    )
+    return tuple(BatchResult(hits=sum(p[i][0] for p in parts), replicas=replicas,
+                             envelope_violations=sum(p[i][1] for p in parts))
+                 for i in range(len(horizons)))
 

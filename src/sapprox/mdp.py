@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from sapprox.engine import UNIT_ROUNDOFF, count_tail_hits, recurrence_error
+from sapprox.engine import UNIT_ROUNDOFF, _WeightedSum, count_tail_hits, recurrence_error
 from sapprox.model import ParameterError, ProblemSpec, Rademacher
 from sapprox.weights import h_norm, recurrence_factors, recursion_weights
 
@@ -194,17 +194,15 @@ def _pattern_values(factors: Sequence[float], steps: Sequence[float],
                     patterns: np.ndarray) -> np.ndarray:
     """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0 (m = len(steps) >= 1),
     for each sign pattern: xi_0 = +1, and xi_k = -1 exactly when bit k-1 of
-    the pattern is set.
-
-    Each value takes the same two roundings per step as the pattern
-    evaluated on its own, so results are bitwise those of the per-pattern
-    recurrence.  The patterns with xi_0 = -1 give exactly the negated sums,
-    because round-to-nearest is symmetric in sign.
+    the pattern is set.  Each step is the weighted sum's kernel with
+    u = xi_k, so results are bitwise those of the per-pattern recurrence;
+    the patterns with xi_0 = -1 give exactly the negated sums, because
+    round-to-nearest is symmetric in sign.
     """
-    s = np.full(len(patterns), float(steps[0]))  # f_0 * 0 + a_0
-    for k in range(1, len(steps)):
-        s *= factors[k]
-        s += np.where((patterns >> (k - 1)) & 1, -steps[k], steps[k])
+    signs = patterns << 1  # bit k of signs is xi_k's, and bit 0 is clear
+    s = np.zeros(len(patterns))
+    for k in range(len(steps)):
+        s = _WeightedSum.kernel(s, factors[k], steps[k], np.where((signs >> k) & 1, -1.0, 1.0))
     return s
 
 

@@ -11,12 +11,12 @@ factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
     h_norm(b, c, n) = (b^2 * weight_sum)^{-1/2}
 
 together with the closed-form sandwich bounds on beta and the large-n
-reference sqrt((-2c-1)*n)/b for h_norm.  The linearized step
-d <- f_k d + a_k U_{k+1} and every product of its factors, beta included,
-use the floats of recurrence_factors, multiplied from the last factor
-backwards (suffix_products), in O(n) time and memory.  For c < -1 the
-first factors are zero or negative, so products may be zero or change
-sign; for large -c they overflow float64 to +-inf.
+reference sqrt((-2c-1)*n)/b for h_norm.  Each product of the factors, beta
+included, multiplies the floats of recurrence_factors from the last factor
+backwards (suffix_products) in O(n) time and memory, and the one kernel of
+the linearized step d <- f_k d + a_k U_{k+1} (sapprox.engine) steps on
+them.  For c < -1 the first factors are zero or negative, so products may
+be zero or change sign; for large -c they overflow float64 to +-inf.
 """
 
 from __future__ import annotations
@@ -72,12 +72,17 @@ def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarr
     """(f, a) with f_k = 1 + c/(k+1) and a_k = b/(k+1) for k = 0..n.
 
     These are the floats of the linearized step d <- f_k d + a_k U_{k+1};
-    every kernel of the recurrence multiplies by them, so its paths, weights
-    and enumerated sums agree bitwise.
+    each recurrence's one kernel (engine._target) steps on them, taking
+    step k's from _factors on floats, so paths, weights and enumerated sums
+    agree bitwise.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    k1 = np.arange(1.0, n + 2.0)
+    return _factors(b, c, np.arange(1.0, n + 2.0))
+
+
+def _factors(b: float, c: float, k1):
+    """(1 + c/k1, b/k1) for a float or an array k1, rounded alike."""
     return 1.0 + c / k1, b / k1
 
 

@@ -35,7 +35,7 @@ from sapprox.model import (
     SineLinearDrift,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta, h_norm
+from sapprox.weights import _factors, beta, h_norm, recurrence_factors
 
 
 def linear_spec(alpha1=-1.0, b=2.0, sigma=1.0, x0=1.0, x_star=0.0):
@@ -180,6 +180,60 @@ class TestWeightedSum:
             [spec.b * beta(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
         )
         assert weighted_sum(spec, n, 4) == pytest.approx(float(w @ us), rel=1e-12)
+
+    def test_overflow_raises(self):
+        # c = -1e4: the first factors overflow the sum, which ends NaN; the
+        # recursion and the tail counts raise on this spec too
+        spec = ProblemSpec(LinearDrift(-1e4), Rademacher(1.0), 1.0, 0.0)
+        with pytest.raises(FloatingPointError, match="S_20001 is not finite"):
+            weighted_sum(spec, 20000, 0)
+        with pytest.raises(FloatingPointError, match="X_20001 is not finite"):
+            simulate(spec, 20000, 0, record=False)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+class TestRecurrenceKernels:
+    """Each target's update is one kernel for floats and arrays: on floats
+    it is bitwise the written-out formula, and on an array it updates the
+    array in place and matches the float results, bitwise except for sine
+    drift under the recursion (a vectorized sin may round differently)."""
+
+    @pytest.mark.parametrize("drift_kind", sorted(DRIFTS))
+    @pytest.mark.parametrize("target", ["recursion", "weighted_sum"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_is_the_written_out_formula(self, drift_kind, target, data):
+        spec = data.draw(specs(drift_kind, "rademacher"))
+        assume(target == "recursion" or spec.c < -1.0)
+        kernel = engine_mod._target(spec, target).kernel
+        k = data.draw(st.integers(0, 5000))
+        f, a = (v.tolist()[k] for v in recurrence_factors(spec.b, spec.c, k))
+        assert _bits(_factors(spec.b, spec.c, k + 1.0)) == _bits((f, a))
+        size = data.draw(st.integers(1, 40))
+        xs = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=size, max_size=size))
+        us = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size))
+        if target == "recursion":
+            def formula(x, u):
+                return x + (spec.b / (k + 1.0)) * (float(spec.drift(x)) + u)
+        else:
+            def formula(s, u):
+                return f * s + a * u
+        floats = []
+        for x, u in zip(xs, us):
+            got = kernel(x, f, a, u)
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(formula(x, u))
+            floats.append(got)
+        arr = np.array(xs)
+        assert kernel(arr, f, a, np.array(us)) is arr
+        if target == "recursion" and drift_kind == SineLinearDrift.kind:
+            scale = max(1.0, float(np.max(np.abs(xs))))
+            assert np.allclose(arr, floats, rtol=1e-12, atol=1e-14 * scale)
+        else:
+            assert _bits(arr) == _bits(floats)
 
 
 class TestBatchEngine:
