@@ -35,7 +35,7 @@ from sapprox.config import (
     load_raw,
     parse_config,
 )
-from sapprox.engine import count_tail_hits_grid, envelope_bound, simulate
+from sapprox.engine import count_tail_hits_grid, envelope_bound, final_deviation, simulate
 from sapprox.mdp import binomial_band, clopper_pearson, oracle_tail, rate_curve
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     n = cfg.block["n"]
     _, env_sup = envelope_bound(cfg.spec, n)
     if cfg.block["record"]:
-        traj = simulate(cfg.spec, n, cfg.seed, record=True)
+        traj = simulate(cfg.spec, n, cfg.seed)
         us = [None, *map(float, traj.us)]  # no noise enters X_0
         rows = [{"k": k, "x_k": float(x), "u_k": u}
                 for k, (x, u) in enumerate(zip(traj.xs, us))]
@@ -121,7 +121,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
                      ["k", "x_k", "u_k"], rows)
         final_dev = traj.final_deviation
     else:
-        final_dev = simulate(cfg.spec, n, cfg.seed, record=False)
+        final_dev = final_deviation(cfg.spec, "recursion", n, cfg.seed)
     print(f"final_deviation={_fmt(float(final_dev))} envelope_F={_fmt(env_sup)}")
     return EXIT_OK
 

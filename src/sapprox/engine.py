@@ -21,10 +21,10 @@ bits and uniforms, and a noise model's scalar and block samplers (sapprox.model)
 map them to draws through its one value table.  Each target (TARGETS) is
 one kernel for floats and arrays, x + a_k (g(x) + u) for the recursion and
 f_k s + a_k u for the weighted sum, on the factors of
-weights.recurrence_factors.  The scalar path, the block loop and the
-enumeration oracle all step it, so a batch row equals the single-replica
-run: bit for bit with linear drift, and to a relative 1e-12 with sine
-drift, whose vectorized np.sin may round differently.
+weights.recurrence_factors.  final_deviation (one replica), simulate (its
+recorded path), the tail counts' block loop and the enumeration oracle
+all step it, so a block row equals final_deviation bit for bit with linear
+drift, and to a relative 1e-12 with sine drift (np.sin may round apart).
 count_tail_hits sums linear-drift Rademacher paths in closed form instead
 (_LinearRademacherTail), with the hit counts of the sequential recurrence.
 
@@ -237,9 +237,7 @@ def _target(spec: ProblemSpec, target: str):
     return _TARGETS[target](spec)
 
 
-def step(spec: ProblemSpec, x: float, k: int, u: float) -> float:
-    """One recursion update: x + b/(k+1) * (g(x) + u)."""
-    return float(_Recursion(spec).kernel(x, *_factors(spec.b, spec.c, k + 1.0), u))
+_CHUNK = 4096  # steps whose factors _scalar_path computes at once
 
 
 def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
@@ -250,13 +248,15 @@ def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     draw = spec.noise.sampler(ReplicaStream(seed, replica))
-    b, c, kernel, state = spec.b, spec.c, stat.kernel, stat.start
+    kernel, state = stat.kernel, stat.start
     xs, us = (np.full(n + 2, state), np.empty(n + 1)) if record else (None, None)
-    for k in range(n + 1):
-        u = draw(k)
-        state = kernel(state, *_factors(b, c, k + 1.0), u)
-        if record:
-            xs[k + 1], us[k] = state, u
+    for lo in range(0, n + 1, _CHUNK):
+        fs, as_ = _factors(spec.b, spec.c, np.arange(lo + 1.0, min(lo + _CHUNK, n + 1) + 1.0))
+        for k, f, a in zip(range(lo, n + 1), fs.tolist(), as_.tolist()):
+            u = draw(k)
+            state = kernel(state, f, a, u)
+            if record:
+                xs[k + 1], us[k] = state, u
     if not math.isfinite(state):  # once a state is NaN or inf, every later one is
         raise FloatingPointError(
             f"{stat.symbol}_{n + 1} is not finite (the recursion overflowed float64)"
@@ -264,22 +264,20 @@ def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
     return float(state - stat.origin), xs, us
 
 
-def simulate(spec: ProblemSpec, n: int, seed: int, record: bool = True, replica: int = 0):
-    """Run the recursion to X_{n+1}: a Trajectory when record is on, else
-    only the final deviation X_{n+1} - x* in O(1) memory.  Deterministic
+def simulate(spec: ProblemSpec, n: int, seed: int, replica: int = 0) -> Trajectory:
+    """The recorded recursion X_0..X_{n+1} with its noise.  Deterministic
     given (spec, n, seed, replica)."""
-    dev, xs, us = _scalar_path(spec, _target(spec, "recursion"), n, seed, replica, record)
-    return Trajectory(xs=xs, us=us, spec=spec) if record else dev
+    _, xs, us = _scalar_path(spec, _target(spec, "recursion"), n, seed, replica, True)
+    return Trajectory(xs=xs, us=us, spec=spec)
 
 
-def weighted_sum(spec: ProblemSpec, n: int, seed: int, replica: int = 0) -> float:
-    """b * sum_{k=0}^{n} beta(c, k+1, n) / (k+1) * U_{k+1} with c = b g'(x*).
-
-    Evaluated by the forward recurrence s <- f_k s + a_k U_{k+1} in one
-    sweep; this is the noise part of the linearized recursion started at
-    the root.  Requires b g'(x*) < -1; FloatingPointError on overflow.
-    """
-    return _scalar_path(spec, _target(spec, "weighted_sum"), n, seed, replica)[0]
+def final_deviation(spec: ProblemSpec, target: str, n: int, seed: int,
+                    replica: int = 0) -> float:
+    """One replica's final deviation of the target (TARGETS) in O(1) memory:
+    X_{n+1} - x*, or S_{n+1} for "weighted_sum", which needs b g'(x*) < -1.
+    Bitwise simulate(...).final_deviation for the recursion.  Raises
+    FloatingPointError when the statistic overflows float64."""
+    return _scalar_path(spec, _target(spec, target), n, seed, replica)[0]
 
 
 def taylor_decompose(traj: Trajectory) -> Decomposition:
@@ -393,30 +391,6 @@ def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
             "(the recursion overflowed float64)"
         )
     return int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
-
-
-def batch_final_deviations(
-    spec: ProblemSpec,
-    target: str,
-    n: int,
-    seed: int,
-    replicas: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Final deviations for replicas 0..replicas-1, in replica order.
-
-    Row i is bit-identical to the single-replica run with the same seed,
-    independent of worker count.
-    """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    stat = _target(spec, target)
-
-    def one(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
-        return _run_block(spec, stat, (n,), seed, lo, hi)[0][0]
-
-    return np.concatenate(_map_blocks(one, replicas, workers))
 
 
 # ---------------------------------------------------------------------------

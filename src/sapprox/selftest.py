@@ -48,7 +48,7 @@ def _check_sandwich() -> Optional[str]:
 def _check_decomposition() -> Optional[str]:
     rng = np.random.default_rng(1729)
     spec_lin = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 1.0)
-    traj = engine.simulate(spec_lin, 100, 4, record=True)
+    traj = engine.simulate(spec_lin, 100, 4)
     dec = engine.taylor_decompose(traj)
     if dec.i2 != 0.0:
         return f"linear drift remainder term is {dec.i2}, expected exactly 0"
@@ -58,7 +58,7 @@ def _check_decomposition() -> Optional[str]:
         spec = ProblemSpec(
             SineLinearDrift(2.0, 1.0, 0.0), Rademacher(1.0), 1.6, float(rng.normal())
         )
-        traj = engine.simulate(spec, n, seed, record=True)
+        traj = engine.simulate(spec, n, seed)
         dec = engine.taylor_decompose(traj)
         dev = traj.final_deviation
         err = abs(dec.total - dev) / max(1.0, abs(dev))

@@ -72,9 +72,9 @@ def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarr
     """(f, a) with f_k = 1 + c/(k+1) and a_k = b/(k+1) for k = 0..n.
 
     These are the floats of the linearized step d <- f_k d + a_k U_{k+1};
-    each recurrence's one kernel (engine._target) steps on them, taking
-    step k's from _factors on floats, so paths, weights and enumerated sums
-    agree bitwise.
+    each recurrence's one kernel (engine._target) steps on them, and one
+    replica's path takes them from _factors a chunk of steps at a time, so
+    paths, weights and enumerated sums agree bitwise.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

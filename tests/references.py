@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from sapprox import engine
+
 
 def weighted_sums_over_signs(spec, n: int, signs: np.ndarray) -> np.ndarray:
     """Weighted-sum statistic for explicit sign patterns: the per-pattern
@@ -9,7 +11,7 @@ def weighted_sums_over_signs(spec, n: int, signs: np.ndarray) -> np.ndarray:
 
     signs has shape (m, n+1) with entries +-1; returns the m statistics for
     Rademacher noise U_{k+1} = sigma * signs[:, k], evaluated by the forward
-    recurrence of engine.weighted_sum with its factors spelled out here, so
+    recurrence of the weighted_sum target with its factors spelled out here, so
     it also checks weights.recurrence_factors.
     """
     spec.require_mdp_regime()
@@ -67,3 +69,12 @@ def drift_condition_failures(drift, halfwidth: float, points: int) -> list[str]:
         "push_back_sign": u * g > slack,
     }
     return [name for name, bad in failed.items() if bad.any()]
+
+
+def batch_final_deviations(spec, target: str, n: int, seed: int, replicas: int) -> np.ndarray:
+    """Final deviations of replicas 0..replicas-1 in replica order, from the
+    block loop that the tail counts run, block by block as they split the
+    replicas: the rows that tests compare with engine.final_deviation."""
+    stat = engine._target(spec, target)
+    return np.concatenate(engine._map_blocks(
+        lambda rng: engine._run_block(spec, stat, (n,), seed, *rng)[0][0], replicas, 1))

@@ -10,11 +10,10 @@ import sys
 import numpy as np
 
 from acceptance_report import criterion
-from references import weighted_sums_over_signs
+from references import batch_final_deviations, weighted_sums_over_signs
 from sapprox.bounds import azuma_tail, exp_inequality_bound, select_delta
 from sapprox.cli import main
 from sapprox.engine import (
-    batch_final_deviations,
     count_tail_hits,
     envelope_bound,
     simulate,
@@ -112,14 +111,14 @@ def test_criterion_03_decomposition_identity():
                 float(rng.uniform(0.5, 2.5)),
                 float(rng.normal(0.0, 2.0)),
             )
-            traj = simulate(spec, n, seed, record=True)
+            traj = simulate(spec, n, seed)
             dec = taylor_decompose(traj)
             dev = traj.final_deviation
             err = abs(dec.total - dev) / max(1.0, abs(dev))
             assert err <= 1e-10, (n, seed, err)
         lin = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 1.0)
         for seed in range(100):
-            dec = taylor_decompose(simulate(lin, 200, seed, record=True))
+            dec = taylor_decompose(simulate(lin, 200, seed))
             assert dec.i2 == 0.0
 
 

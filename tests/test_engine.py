@@ -1,12 +1,15 @@
+import ast
+import inspect
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from model_strategies import specs
-from references import weighted_sums_over_signs
+from references import batch_final_deviations, weighted_sums_over_signs
 
 from sapprox import engine as engine_mod
 from sapprox.engine import (
@@ -15,16 +18,14 @@ from sapprox.engine import (
     ReplicaStream,
     Trajectory,
     _LinearRademacherTail,
-    batch_final_deviations,
     count_tail_hits,
     count_tail_hits_grid,
     envelope_bound,
+    final_deviation,
     replica_key,
     replica_keys_array,
     simulate,
-    step,
     taylor_decompose,
-    weighted_sum,
 )
 from sapprox.model import (
     DRIFTS,
@@ -44,6 +45,27 @@ def linear_spec(alpha1=-1.0, b=2.0, sigma=1.0, x0=1.0, x_star=0.0):
 
 def sine_spec(c1=2.0, c2=1.0, b=1.6, sigma=1.0, x0=0.7):
     return ProblemSpec(SineLinearDrift(c1, c2, 0.0), Rademacher(sigma), b, x0)
+
+
+def step(spec, x, k, u):
+    """One recursion update x + b/(k+1) (g(x) + u), by the recursion's kernel."""
+    return engine_mod._target(spec, "recursion").kernel(x, *_factors(spec.b, spec.c, k + 1.0), u)
+
+
+def test_every_public_engine_name_is_used_in_src():
+    # a public function or class that only tests call belongs in tests/
+    used = set()
+    for path in Path(engine_mod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "engine"):
+                used.add(node.attr)
+    public = {name for name, obj in vars(engine_mod).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == engine_mod.__name__}
+    assert sorted(public - used) == []
 
 
 class TestStreams:
@@ -106,7 +128,7 @@ class TestStep:
 class TestSimulate:
     def test_single_step_horizon(self):
         spec = linear_spec()
-        traj = simulate(spec, 0, 11, record=True)
+        traj = simulate(spec, 0, 11)
         u1 = traj.us[0]
         want = spec.x0 + spec.b * (-spec.x0 + u1)
         assert traj.xs[1] == pytest.approx(want, rel=1e-15)
@@ -114,13 +136,13 @@ class TestSimulate:
 
     def test_bit_identical_reruns(self):
         spec = sine_spec()
-        a = simulate(spec, 300, 123, record=True)
-        b = simulate(spec, 300, 123, record=True)
+        a = simulate(spec, 300, 123)
+        b = simulate(spec, 300, 123)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.us, b.us)
 
     def test_recursion_consistency(self):
         for spec in (linear_spec(), sine_spec()):
-            traj = simulate(spec, 500, 77, record=True)
+            traj = simulate(spec, 500, 77)
             for k in range(501):
                 want = step(spec, float(traj.xs[k]), k, float(traj.us[k]))
                 err = abs(traj.xs[k + 1] - want) / max(1e-300, abs(want))
@@ -135,11 +157,16 @@ class TestSimulate:
         want = beta(spec.c, 0, 200) * spec.x0
         assert x == pytest.approx(want, rel=1e-12)
 
-    def test_record_off_matches_final(self):
-        spec = sine_spec()
-        traj = simulate(spec, 123, 5, record=True)
-        dev = simulate(spec, 123, 5, record=False)
-        assert dev == traj.final_deviation
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_record_off_matches_final(self, data):
+        for drift_kind, noise_kind in itertools.product(sorted(DRIFTS), sorted(NOISES)):
+            spec = data.draw(specs(drift_kind, noise_kind))
+            # both sides of a chunk of factors
+            n = data.draw(st.one_of(st.sampled_from([0, 4095, 4096]), st.integers(0, 5000)))
+            seed = data.draw(st.integers(0, 2**64 - 1))
+            dev = final_deviation(spec, "recursion", n, seed, replica=3)
+            assert dev.hex() == simulate(spec, n, seed, replica=3).final_deviation.hex()
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
@@ -149,7 +176,7 @@ class TestSimulate:
 class TestWeightedSum:
     def test_single_term(self):
         spec = linear_spec()
-        s = weighted_sum(spec, 0, 99)
+        s = final_deviation(spec, "weighted_sum", 0, 99)
         u1 = (2 * ReplicaStream(99, 0).sign_bit(0) - 1) * spec.noise.sigma
         assert s == spec.b * u1
 
@@ -162,11 +189,12 @@ class TestWeightedSum:
     def test_rejects_weak_contraction(self):
         weak = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 0.9, 0.0)
         with pytest.raises(ValueError):
-            weighted_sum(weak, 5, 0)
+            final_deviation(weak, "weighted_sum", 5, 0)
 
     def test_deterministic(self):
         spec = linear_spec()
-        assert weighted_sum(spec, 64, 3) == weighted_sum(spec, 64, 3)
+        assert final_deviation(spec, "weighted_sum", 64, 3) == final_deviation(
+            spec, "weighted_sum", 64, 3)
 
     def test_matches_explicit_weights(self):
         # independent oracle: dot product against materialized products
@@ -179,16 +207,25 @@ class TestWeightedSum:
         w = np.array(
             [spec.b * beta(spec.c, k + 1, n) / (k + 1) for k in range(n + 1)]
         )
-        assert weighted_sum(spec, n, 4) == pytest.approx(float(w @ us), rel=1e-12)
+        assert final_deviation(spec, "weighted_sum", n, 4) == pytest.approx(
+            float(w @ us), rel=1e-12)
 
     def test_overflow_raises(self):
         # c = -1e4: the first factors overflow the sum, which ends NaN; the
         # recursion and the tail counts raise on this spec too
         spec = ProblemSpec(LinearDrift(-1e4), Rademacher(1.0), 1.0, 0.0)
         with pytest.raises(FloatingPointError, match="S_20001 is not finite"):
-            weighted_sum(spec, 20000, 0)
+            final_deviation(spec, "weighted_sum", 20000, 0)
         with pytest.raises(FloatingPointError, match="X_20001 is not finite"):
-            simulate(spec, 20000, 0, record=False)
+            final_deviation(spec, "recursion", 20000, 0)
+
+    def test_rejects_unknown_target(self):
+        spec = linear_spec()
+        with pytest.raises(ValueError) as got:
+            final_deviation(spec, "sum", 5, 0)
+        with pytest.raises(ValueError) as want:
+            count_tail_hits(spec, "sum", 5, 0, 10, 1.0)
+        assert str(got.value) == str(want.value) == "unknown target 'sum'"
 
 
 def _bits(v):
@@ -241,14 +278,16 @@ class TestBatchEngine:
         spec = linear_spec()
         batch = batch_final_deviations(spec, "recursion", 64, 2024, 16)
         scalar = np.array(
-            [simulate(spec, 64, 2024, record=False, replica=i) for i in range(16)]
+            [final_deviation(spec, "recursion", 64, 2024, replica=i) for i in range(16)]
         )
         assert np.array_equal(batch, scalar)
 
     def test_weighted_sum_rows_match_scalar_bitwise(self):
         spec = linear_spec()
         batch = batch_final_deviations(spec, "weighted_sum", 64, 2024, 16)
-        scalar = np.array([weighted_sum(spec, 64, 2024, replica=i) for i in range(16)])
+        scalar = np.array(
+            [final_deviation(spec, "weighted_sum", 64, 2024, replica=i) for i in range(16)]
+        )
         assert np.array_equal(batch, scalar)
 
     def test_two_point_rows_match_scalar_bitwise(self):
@@ -257,7 +296,7 @@ class TestBatchEngine:
         )
         batch = batch_final_deviations(spec, "recursion", 48, 9, 12)
         scalar = np.array(
-            [simulate(spec, 48, 9, record=False, replica=i) for i in range(12)]
+            [final_deviation(spec, "recursion", 48, 9, replica=i) for i in range(12)]
         )
         assert np.array_equal(batch, scalar)
 
@@ -265,7 +304,7 @@ class TestBatchEngine:
         spec = sine_spec()
         batch = batch_final_deviations(spec, "recursion", 48, 9, 12)
         scalar = np.array(
-            [simulate(spec, 48, 9, record=False, replica=i) for i in range(12)]
+            [final_deviation(spec, "recursion", 48, 9, replica=i) for i in range(12)]
         )
         assert np.allclose(batch, scalar, rtol=1e-12, atol=1e-14)
 
@@ -309,10 +348,7 @@ class TestModelKernels:
         if replicas > BLOCK:
             rows |= {BLOCK - 1, BLOCK}  # both sides of the block boundary
         for i in sorted(rows):
-            if target == "recursion":
-                want = simulate(spec, n, seed, record=False, replica=i)
-            else:
-                want = weighted_sum(spec, n, seed, replica=i)
+            want = final_deviation(spec, target, n, seed, replica=i)
             if target == "recursion" and drift_kind == SineLinearDrift.kind:
                 scale = max(1.0, envelope_bound(spec, n)[1])
                 assert devs[i] == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
@@ -547,7 +583,7 @@ class TestTailGrid:
 
 class TestTaylorDecompose:
     def test_linear_remainder_exactly_zero(self):
-        traj = simulate(linear_spec(), 200, 5, record=True)
+        traj = simulate(linear_spec(), 200, 5)
         dec = taylor_decompose(traj)
         assert dec.i2 == 0.0
         dev = traj.final_deviation
@@ -561,7 +597,7 @@ class TestTaylorDecompose:
 
     def test_sine_identity_small_horizon(self):
         spec = sine_spec()
-        traj = simulate(spec, 10, 42, record=True)
+        traj = simulate(spec, 10, 42)
         dec = taylor_decompose(traj)
         dev = traj.final_deviation
         assert abs(dec.total - dev) / max(1.0, abs(dev)) < 1e-10
@@ -572,7 +608,7 @@ class TestTaylorDecompose:
             n = int(rng.integers(1, 300))
             seed = int(rng.integers(0, 2**62))
             spec = sine_spec(x0=float(rng.normal()))
-            traj = simulate(spec, n, seed, record=True)
+            traj = simulate(spec, n, seed)
             dec = taylor_decompose(traj)
             dev = traj.final_deviation
             assert abs(dec.total - dev) / max(1.0, abs(dev)) < 1e-10
@@ -581,7 +617,7 @@ class TestTaylorDecompose:
         spec = sine_spec()
         ka = spec.drift.Ka
         for seed in range(5):
-            traj = simulate(spec, 400, seed, record=True)
+            traj = simulate(spec, 400, seed)
             dev = traj.xs[:-1] - spec.drift.x_star
             g_vals = spec.drift(traj.xs[:-1])
             rem = g_vals - spec.drift.gprime_star * dev
@@ -616,7 +652,7 @@ class TestEnvelope:
         spec = sine_spec()
         env, _ = envelope_bound(spec, 500)
         for seed in range(20):
-            traj = simulate(spec, 500, seed, record=True)
+            traj = simulate(spec, 500, seed)
             assert np.all(np.abs(traj.xs - spec.drift.x_star) <= env)
 
     def test_shape_bound(self):

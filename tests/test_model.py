@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_strategies import DRIFT_MODELS, NOISE_MODELS
-from references import drift_condition_failures
+from references import batch_final_deviations, drift_condition_failures
 
-from sapprox.engine import BlockStream, ReplicaStream, batch_final_deviations
+from sapprox.engine import BlockStream, ReplicaStream
 from sapprox.model import (
     LinearDrift,
     ProblemSpec,

@@ -14,14 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from references import batch_final_deviations
 
 from sapprox.cli import main
-from sapprox.engine import (
-    batch_final_deviations,
-    count_tail_hits_grid,
-    envelope_bound,
-    weighted_sum,
-)
+from sapprox.engine import count_tail_hits_grid, envelope_bound, final_deviation
 from sapprox.mdp import exact_tail_enumeration
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher, TwoPointAdaptive
 from sapprox.weights import recursion_weights, weight_sum
@@ -175,4 +171,5 @@ def test_scalar_paths(noise, csv_sha, sums, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert main(["simulate", "--config", str(tmp_path / "config.json")]) == 0
     assert sha256((tmp_path / "path.csv").read_bytes()) == csv_sha
-    assert [weighted_sum(spec, n, 99, replica=7).hex() for n in (0, 64, 300)] == sums
+    assert [final_deviation(spec, "weighted_sum", n, 99, replica=7).hex()
+            for n in (0, 64, 300)] == sums
