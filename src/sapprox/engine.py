@@ -25,8 +25,10 @@ weights.recurrence_factors.  final_deviation (one replica), simulate (its
 recorded path), the tail counts' block loop and the enumeration oracle
 all step it, so a block row equals final_deviation bit for bit with linear
 drift, and to a relative 1e-12 with sine drift (np.sin may round apart).
-count_tail_hits sums linear-drift Rademacher paths in closed form instead
-(_LinearRademacherTail), with the hit counts of the sequential recurrence.
+Under Rademacher noise, count_tail_hits sums a statistic that is affine in
+the noise (its `affine`: the weighted sum always, the recursion under linear
+drift) in closed form instead (_LinearRademacherTail), with the hit counts
+of the sequential recurrence.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -45,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from sapprox.model import LinearDrift, ProblemSpec, Rademacher
-from sapprox.weights import _factors, recurrence_factors, recursion_weights, suffix_products
+from sapprox.model import ProblemSpec, Rademacher
+from sapprox.weights import _CHUNK, _factors, recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -198,6 +200,7 @@ class _Recursion:
 
     def __init__(self, spec: ProblemSpec):
         self.drift, self.start, self.origin = spec.drift, spec.x0, spec.drift.x_star
+        self.affine = spec.drift.c2 == 0  # affine in the noise iff the drift is
 
     def kernel(self, x, f, a, u):
         """x + a (g(x) + u), f unused: an array x is updated in place."""
@@ -211,7 +214,8 @@ class _Recursion:
 class _WeightedSum:
     """S_k from 0, the noise part of the linearization; needs b g'(x*) < -1."""
 
-    symbol, bounded, start, origin = "S", False, 0.0, 0.0
+    # affine in the noise under every drift: its factors need only b and c
+    symbol, bounded, affine, start, origin = "S", False, True, 0.0, 0.0
 
     def __init__(self, spec: ProblemSpec):
         spec.require_mdp_regime()
@@ -235,9 +239,6 @@ def _target(spec: ProblemSpec, target: str):
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     return _TARGETS[target](spec)
-
-
-_CHUNK = 4096  # steps whose factors _scalar_path computes at once
 
 
 def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
@@ -339,7 +340,6 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class BatchResult:
     hits: int
-    replicas: int
     envelope_violations: int
 
 
@@ -412,8 +412,8 @@ _BYTE_COLUMNS = tuple(range(8)) if sys.byteorder == "little" else tuple(range(7,
 
 def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     """A bound on |computed - exact| for the final deviation that the
-    target's kernel (_target) computes, on every noise path, for any drift
-    under "weighted_sum" and linear drift under "recursion": the exact value
+    target's kernel (_target) computes, on every noise path, where that
+    statistic is affine in the noise (ValueError otherwise): the exact value
     is beta(c, 0, n) d0 + sum_k w_k U_{k+1} over the floats of
     weights.recursion_weights, with d0 = start - origin.
 
@@ -424,6 +424,8 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     weights.
     """
     stat = _target(spec, target)
+    if not stat.affine:
+        raise ValueError(f"target {target!r} is not affine in the noise ({spec.drift.kind} drift)")
     # the envelope of the path whose deviation starts at start - origin
     env, _ = envelope_bound(replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), n)
     f, _ = recurrence_factors(spec.b, spec.c, n)
@@ -436,12 +438,15 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
 
 
 class _LinearRademacherTail:
-    """Tail counts for linear drift under Rademacher noise, in closed form.
+    """Tail counts of a statistic affine in the noise (_target's `affine`)
+    under Rademacher noise, in closed form.
 
-    With g(x) = alpha1 (x - x*) the final deviation is exactly
-    beta(c, 0, n) d0 + sum_k w_k U_{k+1} (weights.recursion_weights), where
-    U_{k+1} = values[bit] is the noise's value table indexed by the step-k
-    sign bit and d0 = start - origin of the target (_target).
+    Its final deviation is exactly beta(c, 0, n) d0 + sum_k w_k U_{k+1}
+    (weights.recursion_weights), where U_{k+1} = values[bit] is the noise's
+    value table indexed by the step-k sign bit and d0 = start - origin.
+    The weighted sum steps on f_k and a_k alone, so its weights need only b
+    and c = b g'(x*) whatever the drift; the recursion has them under
+    linear drift.
     Bits 8m..8m+7 of the 64-step hash word j are the sign bits of steps
     64j+8m..64j+8m+7, so word j adds T_j[m, byte_m] with the 8x256 table
     T_j[m, v] = sum_r w_{64j+8m+r} values[bit r of v], for the columns m
@@ -515,8 +520,8 @@ def count_tail_hits(
     every step of every path and the number of violating (path, step) pairs
     is returned.  Hit counts are exact integers accumulated in replica-block
     order, so the result does not depend on worker count.  Without an
-    envelope, linear drift with Rademacher noise is counted in closed form
-    (_LinearRademacherTail) with the same hits as the sequential recurrence.
+    envelope, an affine target under Rademacher noise is counted in closed
+    form (_LinearRademacherTail) with the same hits as the recurrence.
     Raises FloatingPointError if any final deviation is NaN or infinite.
     """
     return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
@@ -567,8 +572,7 @@ def count_tail_hits_grid(
                 f"horizon {horizons[-1]}, got {len(envelope)}"
             )
     closed_forms = None
-    if (envelope is None and isinstance(spec.drift, LinearDrift)
-            and isinstance(spec.noise, Rademacher)):
+    if envelope is None and stat.affine and isinstance(spec.noise, Rademacher):
         closed_forms = [_LinearRademacherTail(spec, target, n) for n in horizons]
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
@@ -583,7 +587,7 @@ def count_tail_hits_grid(
                 for (devs, violations), t in zip(rows, thresholds)]
 
     parts = _map_blocks(one, replicas, workers)
-    return tuple(BatchResult(hits=sum(p[i][0] for p in parts), replicas=replicas,
+    return tuple(BatchResult(hits=sum(p[i][0] for p in parts),
                              envelope_violations=sum(p[i][1] for p in parts))
                  for i in range(len(horizons)))
 

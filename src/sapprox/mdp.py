@@ -28,6 +28,7 @@ from sapprox.weights import h_norm, recurrence_factors, recursion_weights
 ENUMERATION_MAX_N = 40
 # left sums and undecided pairs are handled this many at a time
 _SPLIT_CHUNK = 1 << 16
+_XI = np.array([1.0, -1.0])  # the sign xi_k of a sign word's bit k
 
 
 def horizon_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
@@ -191,18 +192,17 @@ def estimate_tail(
 
 
 def _pattern_values(factors: Sequence[float], steps: Sequence[float],
-                    patterns: np.ndarray) -> np.ndarray:
-    """s_m of s_{k+1} = f_k s_k + xi_k a_k, s_0 = 0 (m = len(steps) >= 1),
-    for each sign pattern: xi_0 = +1, and xi_k = -1 exactly when bit k-1 of
-    the pattern is set.  Each step is the weighted sum's kernel with
-    u = xi_k, so results are bitwise those of the per-pattern recurrence;
-    the patterns with xi_0 = -1 give exactly the negated sums, because
-    round-to-nearest is symmetric in sign.
+                    signs: np.ndarray, start=0.0) -> np.ndarray:
+    """s_m of s_{k+1} = f_k s_k + xi_k a_k from s_0 = start (a float, or
+    one per sign word; m = len(steps)), for each sign word: xi_k = -1
+    exactly when bit k of the word is set.  Each step is the weighted sum's
+    kernel with u = xi_k, so results are bitwise those of the per-pattern
+    recurrence, and running steps h..m-1 from the s_h of steps 0..h-1 is
+    bitwise running all m.
     """
-    signs = patterns << 1  # bit k of signs is xi_k's, and bit 0 is clear
-    s = np.zeros(len(patterns))
+    s = np.full(len(signs), start)
     for k in range(len(steps)):
-        s = _WeightedSum.kernel(s, factors[k], steps[k], np.where((signs >> k) & 1, -1.0, 1.0))
+        s = _WeightedSum.kernel(s, factors[k], steps[k], _XI[(signs >> k) & 1])
     return s
 
 
@@ -228,7 +228,7 @@ def _split_guard(weights: np.ndarray, error: float, threshold: float) -> float:
 
 
 def _window_pairs(rows: np.ndarray, first: np.ndarray, count: np.ndarray):
-    """(row, position) index arrays of every pair in the windows
+    """(rows[r], position) arrays of every pair in the windows
     [first_r, first_r + count_r) of rows r, _SPLIT_CHUNK pairs at a time."""
     ends = np.cumsum(count)
     total = int(ends[-1])
@@ -250,8 +250,10 @@ def _split_tail(weights: np.ndarray, factors: Sequence[float], steps: Sequence[f
     bounds |a + b - s_m|: `error`, the rounding of the two left-to-right
     sums, and that of the bounds t +- guard - a.  Every pair within the
     guard of +-t is re-evaluated by _pattern_values, so the count is that
-    of the forward recurrence, ties included.  Time and memory are about
-    2^(m/2) plus the number of such pairs.
+    of the forward recurrence, ties included; such a pair runs only the
+    right half's steps, from its left state.  Time and memory are about
+    2^(m/2) plus the number of such pairs.  The patterns with xi_0 = -1
+    give the negated sums, since round-to-nearest is symmetric in sign.
     """
     m = len(steps)
     if m == 0:
@@ -271,18 +273,21 @@ def _split_tail(weights: np.ndarray, factors: Sequence[float], steps: Sequence[f
     hits = 0
     for lo in range(0, len(left), _SPLIT_CHUNK):
         a = left[lo:lo + _SPLIT_CHUNK]
-        # sorted positions: hits below `below` and from `above` on, misses
-        # in [mid_lo, mid_hi) (none when t <= guard), undecided pairs between
+        # sorted positions: hits below `below` and from `above` on, misses in
+        # [mid_lo, mid_hi) (none when t <= guard), and undecided pairs between,
+        # which run the right half's steps from s_h of their left pattern
         below = np.searchsorted(right, -outer - a, "left")
         above = np.searchsorted(right, outer - a, "right")
         mid_lo = np.searchsorted(right, -inner - a, "right")
         mid_hi = np.maximum(mid_lo, np.searchsorted(right, inner - a, "left"))
         hits += int(np.sum(below)) + len(a) * len(right) - int(np.sum(above))
-        rows = left_order[lo:lo + len(a)]
-        for first, stop in ((below, mid_lo), (mid_hi, above)):
-            for i, j in _window_pairs(rows, first, stop - first):
-                values = _pattern_values(factors, steps, i | (order[j] << (half - 1)))
-                hits += int(np.count_nonzero(np.abs(values) > threshold))
+        windows = ((below, mid_lo - below), (mid_hi, above - mid_hi))
+        if any(count.any() for _, count in windows):  # bit 0 clear: xi_0 = +1
+            states = _pattern_values(factors[:half], steps[:half], left_order[lo:lo + len(a)] << 1)
+            for first, count in windows:
+                for s, j in _window_pairs(states, first, count):
+                    values = _pattern_values(factors[half:], steps[half:], order[j], s)
+                    hits += int(np.count_nonzero(np.abs(values) > threshold))
     return Fraction(2 * hits, 1 << m)
 
 

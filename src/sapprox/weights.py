@@ -10,13 +10,14 @@ factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
     weight_sum(...) = sum_{k=0}^{n} (k+1)^{-2} beta(c, k+1, n)^2
     h_norm(b, c, n) = (b^2 * weight_sum)^{-1/2}
 
-together with the closed-form sandwich bounds on beta and the large-n
-reference sqrt((-2c-1)*n)/b for h_norm.  Each product of the factors, beta
-included, multiplies the floats of recurrence_factors from the last factor
-backwards (suffix_products) in O(n) time and memory, and the one kernel of
-the linearized step d <- f_k d + a_k U_{k+1} (sapprox.engine) steps on
-them.  For c < -1 the first factors are zero or negative, so products may
-be zero or change sign; for large -c they overflow float64 to +-inf.
+together with the closed-form sandwich bounds on beta.  Every factor is
+rounded by one expression (_factors), and each product of the factors is
+multiplied from the last factor backwards (suffix_products), in O(n) time
+and memory, or a chunk of factors at a time in O(1) memory for beta.  The
+one kernel of the linearized step d <- f_k d + a_k U_{k+1}
+(sapprox.engine) steps on the same floats.  For c < -1 the first factors
+are zero or negative, so products may be zero or change sign; for large
+-c they overflow float64 to +-inf.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ def beta(c: float, k: int, n: int) -> float:
         raise ValueError(f"c must be negative, got {c}")
     if k < 0 or n < 0:
         raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
-    if k > n:
-        return 1.0
-    # f_n, ..., f_k as recurrence_factors builds them, in one array, then
-    # their running product from the last factor backwards, as
-    # suffix_products multiplies
-    f = np.arange(n + 1.0, k, -1.0)
-    np.divide(c, f, out=f)
-    f += 1.0
-    return float(np.cumprod(f, out=f)[-1])
+    # f_n, ..., f_k from _factors, _CHUNK at a time (O(1) memory), in one
+    # running product from the last factor backwards, as suffix_products does
+    product = 1.0
+    for top in range(n + 1, k, -_CHUNK):
+        f = _factors(1.0, c, np.arange(top, max(top - _CHUNK, k), -1.0))[0]
+        f[0] *= product
+        product = float(np.cumprod(f, out=f)[-1])
+    return product
 
 
 def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:
@@ -84,6 +84,9 @@ def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarr
 def _factors(b: float, c: float, k1):
     """(1 + c/k1, b/k1) for a float or an array k1, rounded alike."""
     return 1.0 + c / k1, b / k1
+
+
+_CHUNK = 4096  # steps whose factors a path or beta computes at once
 
 
 def suffix_products(f: np.ndarray) -> np.ndarray:
@@ -135,16 +138,3 @@ def h_norm(b: float, c: float, n: int) -> float:
         raise FloatingPointError(f"the product weights overflow float64 (c={c}, n={n})")
     return 1.0 / math.sqrt(b * b * total)
 
-
-def h_asymptotic(b: float, c: float, n: int) -> float:
-    """Large-n reference sqrt((-2c-1) * n) / b for h_norm.
-
-    Requires c < -1/2; the reference diverges from h_norm otherwise.
-    """
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if not c < -0.5:
-        raise ValueError(f"c must be < -1/2, got {c}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return math.sqrt((-2.0 * c - 1.0) * n) / b

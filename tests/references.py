@@ -1,5 +1,7 @@
 """Independent references that tests compare the program against."""
 
+import math
+
 import numpy as np
 
 from sapprox import engine
@@ -78,3 +80,18 @@ def batch_final_deviations(spec, target: str, n: int, seed: int, replicas: int) 
     stat = engine._target(spec, target)
     return np.concatenate(engine._map_blocks(
         lambda rng: engine._run_block(spec, stat, (n,), seed, *rng)[0][0], replicas, 1))
+
+
+def h_asymptotic(b: float, c: float, n: int) -> float:
+    """Large-n reference sqrt((-2c-1) * n) / b for weights.h_norm, the
+    paper's normalizer limit.
+
+    Requires c < -1/2; the reference diverges from h_norm otherwise.
+    """
+    if not b > 0:
+        raise ValueError(f"b must be positive, got {b}")
+    if not c < -0.5:
+        raise ValueError(f"c must be < -1/2, got {c}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return math.sqrt((-2.0 * c - 1.0) * n) / b

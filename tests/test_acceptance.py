@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from acceptance_report import criterion
-from references import batch_final_deviations, weighted_sums_over_signs
+from references import batch_final_deviations, h_asymptotic, weighted_sums_over_signs
 from sapprox.bounds import azuma_tail, exp_inequality_bound, select_delta
 from sapprox.cli import main
 from sapprox.engine import (
@@ -33,7 +33,7 @@ from sapprox.model import (
     SineLinearDrift,
     TwoPointAdaptive,
 )
-from sapprox.weights import beta, beta_bounds, h_asymptotic, h_norm
+from sapprox.weights import beta, beta_bounds, h_norm
 
 
 def _sign_mags(weights_arr):

@@ -1,7 +1,9 @@
 import ast
+import importlib
 import inspect
 import itertools
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from sapprox.engine import (
     count_tail_hits_grid,
     envelope_bound,
     final_deviation,
+    recurrence_error,
     replica_key,
     replica_keys_array,
     simulate,
@@ -52,20 +55,34 @@ def step(spec, x, k, u):
     return engine_mod._target(spec, "recursion").kernel(x, *_factors(spec.b, spec.c, k + 1.0), u)
 
 
-def test_every_public_engine_name_is_used_in_src():
+# called from outside src: cli.main is the console entry point, and
+# config.canonical_json is what ROADMAP item 4's run manifest hashes
+_CALLED_FROM_OUTSIDE = {"cli.main", "config.canonical_json"}
+
+
+def test_every_public_name_is_used_in_src():
     # a public function or class that only tests call belongs in tests/
+    src = Path(engine_mod.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in src.glob("*.py")]
+    # the names under which src imports its own modules
+    aliases = {alias.asname or alias.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "sapprox"
+               for alias in node.names}
     used = set()
-    for path in Path(engine_mod.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "engine"):
-                used.add(node.attr)
-    public = {name for name, obj in vars(engine_mod).items()
-              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == engine_mod.__name__}
-    assert sorted(public - used) == []
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            used.add(node.attr)
+    unused = []
+    for info in pkgutil.iter_modules([str(src)]):
+        module = importlib.import_module(f"sapprox.{info.name}")
+        unused += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                   if not name.startswith("_") and name not in used
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__]
+    assert sorted(set(unused) - _CALLED_FROM_OUTSIDE) == []
 
 
 class TestStreams:
@@ -436,6 +453,54 @@ class TestClosedFormTail:
             got = count_tail_hits(spec, target, n, seed, replicas, t,
                                   inclusive=inclusive).hits
             assert got == self.reference_hits(devs, t, inclusive)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=specs("sine_linear", "rademacher"),
+        n=st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 3000)),
+        replicas=st.integers(1, 700),
+        seed=st.integers(0, 2**64 - 1),
+        pick=st.integers(0, 10**6),
+        attained=st.booleans(),
+    )
+    def test_sine_weighted_sum_takes_the_closed_form(self, spec, n, replicas, seed,
+                                                     pick, attained):
+        # the weighted sum is affine in the noise under every drift
+        assume(spec.c < -1.0)
+        devs = batch_final_deviations(spec, "weighted_sum", n, seed, replicas)
+        mags = np.abs(devs)
+        if attained:
+            t = float(mags[pick % replicas])
+        else:
+            t = float(np.quantile(mags, (pick % 1000) / 1000.0))
+
+        def stepped(*args):
+            raise AssertionError("the block loop ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_mod, "_run_block", stepped)
+            for inclusive in (False, True):
+                got = count_tail_hits(spec, "weighted_sum", n, seed, replicas, t,
+                                      inclusive=inclusive).hits
+                assert got == self.reference_hits(devs, t, inclusive)
+
+    def test_sine_recursion_has_no_closed_form(self):
+        spec = sine_spec()
+        for n in (0, 64, 500):
+            with pytest.raises(ValueError, match="not affine"):
+                recurrence_error(spec, "recursion", n)
+            recurrence_error(spec, "weighted_sum", n)  # affine under any drift
+        calls = []
+        real = engine_mod._run_block
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_mod, "_run_block", counted)
+            count_tail_hits(spec, "recursion", 100, 3, 50, 0.2)
+        assert len(calls) == 1 and not calls[0].affine
 
     def test_hits_match_across_blocks_and_workers(self):
         spec = linear_spec(alpha1=-1.3, x_star=0.25)

@@ -360,10 +360,21 @@ class TestSplitCount:
             worst = max(worst, err / guard)
         assert worst > 0.0  # the sums differ, so the guard is exercised
 
+    def test_tied_pairs_across_many_chunks(self, monkeypatch):
+        # small chunks: some chunks of left sums hold undecided pairs and some
+        # none, and a chunk's pairs span several windows and left states
+        monkeypatch.setattr(mdp, "_SPLIT_CHUNK", 8)
+        for n in (13, 16):
+            spec = rad_spec()  # c = -2: many sums tie
+            f, a = recurrence_factors(spec.b, spec.c, n)
+            mags = np.abs(sign_pattern_sums(f, a))
+            for t in around(np.quantile(mags, [0.1, 0.5, 0.9], method="nearest").tolist()):
+                assert exact_tail_enumeration(spec, n, t) == tail_of(mags, t), (n, t)
+
     def test_pattern_values_are_the_doubling_kernel(self):
         for n in (0, 1, 6, 13):
             f, a = recurrence_factors(1.3, -2.7, n)
-            got = mdp._pattern_values(f, 0.7 * a, np.arange(1 << n))
+            got = mdp._pattern_values(f, 0.7 * a, np.arange(1 << n) << 1)
             assert got.tobytes() == sign_pattern_sums(f, 0.7 * a).tobytes()
 
     def test_memory_at_forty(self):

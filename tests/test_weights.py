@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from references import h_asymptotic
 
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import (
     beta,
     beta_bounds,
-    h_asymptotic,
     h_norm,
     recurrence_factors,
     recursion_weights,
@@ -102,16 +102,16 @@ class TestBeta:
         assert 0.0 < beta(-2.0, 10, 10**7) < 1.0
 
     def test_memory_is_one_array_of_factors(self):
-        # f_10..f_n alone are 76 MiB at n = 10^7; building the factors of
-        # recurrence_factors, step array included, and their suffix products
-        # peaked at 229 MiB
+        # one chunk of factors at a time: 0.13 MiB at n = 10^7, where
+        # f_10..f_n in one array are 76 MiB, and the factors of
+        # recurrence_factors with their suffix products peaked at 229 MiB
         tracemalloc.start()
         try:
             beta(-2.0, 10, 10**7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 2**20
+        assert peak <= 2**20
 
 
 class TestBetaBounds:
