@@ -27,8 +27,8 @@ all step it, so a block row equals final_deviation bit for bit with linear
 drift, and to a relative 1e-12 with sine drift (np.sin may round apart).
 Under Rademacher noise, count_tail_hits sums a statistic that is affine in
 the noise (its `affine`: the weighted sum always, the recursion under linear
-drift) in closed form instead (_LinearRademacherTail), with the hit counts
-of the sequential recurrence.
+drift) in closed form instead (_AffineTail, guarded by sum_error), with the
+hit counts of the sequential recurrence.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -40,7 +40,6 @@ the same counts, and so the same output bytes, as one call per horizon.
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -48,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from sapprox.model import ProblemSpec, Rademacher
-from sapprox.weights import _CHUNK, _factors, recurrence_factors, recursion_weights, suffix_products
+from sapprox.weights import _CHUNK, _contraction, _factors, recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -394,7 +393,7 @@ def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form tail counting (linear drift, Rademacher noise)
+# Closed-form tail counting (affine statistics, Rademacher noise)
 # ---------------------------------------------------------------------------
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -406,8 +405,13 @@ _GUARD_ULPS = 16.0
 # _BYTE_BITS[r, v] is bit r of byte v, 0 or 1: a step's index into the
 # Rademacher value table (-sigma, sigma).
 _BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
-# Column of a uint64's uint8 view holding its bits 8m..8m+7, for m = 0..7.
-_BYTE_COLUMNS = tuple(range(8)) if sys.byteorder == "little" else tuple(range(7, -1, -1))
+
+
+def sum_error(terms, magnitude: float) -> float:
+    """Higham's bound on the rounding of a float sum of `terms` terms whose
+    magnitudes add up to `magnitude`, in any order, while terms^2 u <= 1
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4)."""
+    return terms * UNIT_ROUNDOFF * magnitude
 
 
 def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
@@ -428,8 +432,8 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
         raise ValueError(f"target {target!r} is not affine in the noise ({spec.drift.kind} drift)")
     # the envelope of the path whose deviation starts at start - origin
     env, _ = envelope_bound(replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), n)
-    f, _ = recurrence_factors(spec.b, spec.c, n)
     k1 = np.arange(1.0, n + 2.0)
+    f = _contraction(spec.c, k1)
     spread = 1.0 + abs(spec.c) / k1
     tol = _GUARD_ULPS * UNIT_ROUNDOFF
     local = tol * (abs(stat.origin) + env[1:] + spread * env[:-1] + spec.b * spec.noise.Ku / k1)
@@ -437,7 +441,7 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     return float(suffix_products(np.abs(f) + tol * spread) @ local)
 
 
-class _LinearRademacherTail:
+class _AffineTail:
     """Tail counts of a statistic affine in the noise (_target's `affine`)
     under Rademacher noise, in closed form.
 
@@ -447,8 +451,8 @@ class _LinearRademacherTail:
     The weighted sum steps on f_k and a_k alone, so its weights need only b
     and c = b g'(x*) whatever the drift; the recursion has them under
     linear drift.
-    Bits 8m..8m+7 of the 64-step hash word j are the sign bits of steps
-    64j+8m..64j+8m+7, so word j adds T_j[m, byte_m] with the 8x256 table
+    Byte m of the 64-step hash word j, read little-endian, holds the sign
+    bits of steps 64j+8m..64j+8m+7: word j adds T_j[m, byte_m] with the table
     T_j[m, v] = sum_r w_{64j+8m+r} values[bit r of v], for the columns m
     with 64j + 8m <= n; the other columns hold no step and add nothing.
 
@@ -456,10 +460,10 @@ class _LinearRademacherTail:
     `guard` bounds |closed form - recurrence| for every replica: it is
     twice the sum of two bounds on the distance to the exact value.  The
     first is recurrence_error, which covers the rounding of the recurrence
-    and of the weights.  The second is the rounding of the table entries
-    and their running sum.  A replica whose |deviation| lies within guard
-    of the threshold is recomputed by the scalar reference, which equals
-    the batch row bitwise, so hit counts equal the recurrence's exactly.
+    and of the weights.  The second is sum_error of the start plus 8 table
+    entries per word, each a sum of 8.  A replica whose |deviation| lies
+    within guard of the threshold is recomputed by the scalar reference
+    (bitwise the batch row), so hit counts equal the recurrence's exactly.
     """
 
     def __init__(self, spec: ProblemSpec, target: str, n: int):
@@ -472,11 +476,8 @@ class _LinearRademacherTail:
         self._columns = [min(8, (n - 64 * j) // 8 + 1) for j in range(self.words)]
         self._byte_values = np.asarray(spec.noise.values)[_BYTE_BITS]
         self.start = beta0 * (self._stat.start - self._stat.origin)
-        # the start plus 8 entries per word are summed, each entry a sum of 8
-        terms = 8 * self.words + 9
-        summation = terms * UNIT_ROUNDOFF * (
-            abs(self.start) + spec.noise.Ku * float(np.sum(np.abs(padded)))
-        )
+        magnitude = abs(self.start) + spec.noise.Ku * float(np.sum(np.abs(padded)))
+        summation = sum_error(8 * self.words + 9, magnitude)
         self.guard = 2.0 * (recurrence_error(spec, target, n) + summation)
 
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -487,10 +488,10 @@ class _LinearRademacherTail:
         dev = np.full(w, self.start)
         for j, columns in enumerate(self._columns):
             table = self._word_weights[j] @ self._byte_values
-            byte_rows = stream.sign_word(j).view(np.uint8).reshape(w, 8)
+            byte_rows = stream.sign_word(j).astype("<u8", copy=False).view(np.uint8).reshape(w, 8)
             for m in range(columns):
                 # a byte never exceeds 255, so "clip" only skips the bounds check
-                np.take(table[m], byte_rows[:, _BYTE_COLUMNS[m]], out=part, mode="clip")
+                np.take(table[m], byte_rows[:, m], out=part, mode="clip")
                 dev += part
         return dev
 
@@ -521,7 +522,7 @@ def count_tail_hits(
     is returned.  Hit counts are exact integers accumulated in replica-block
     order, so the result does not depend on worker count.  Without an
     envelope, an affine target under Rademacher noise is counted in closed
-    form (_LinearRademacherTail) with the same hits as the recurrence.
+    form (_AffineTail) with the same hits as the recurrence.
     Raises FloatingPointError if any final deviation is NaN or infinite.
     """
     return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
@@ -573,7 +574,7 @@ def count_tail_hits_grid(
             )
     closed_forms = None
     if envelope is None and stat.affine and isinstance(spec.noise, Rademacher):
-        closed_forms = [_LinearRademacherTail(spec, target, n) for n in horizons]
+        closed_forms = [_AffineTail(spec, target, n) for n in horizons]
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
 

@@ -6,9 +6,10 @@ Both enumeration oracles count the sign patterns of the recurrence
 s_{k+1} = f_k s_k + xi_k a_k by one split count (_split_tail, Horowitz and
 Sahni's meet in the middle): the signed sums of each half of the closed-form
 weights are listed and sorted, and |a + b| > t is counted with
-searchsorted.  Every pair within a proven rounding guard of +-t is
-re-evaluated by the per-pattern recurrence, so the counts are bitwise those
-of the forward recurrence, in about 2^(m/2) time and memory for m terms.
+searchsorted.  Every pair within a proven rounding guard (built from
+engine.sum_error) of +-t is re-evaluated by the per-pattern recurrence, so
+the counts are bitwise those of the forward recurrence, in about 2^(m/2)
+time and memory for m terms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from sapprox.engine import UNIT_ROUNDOFF, _WeightedSum, count_tail_hits, recurrence_error
+from sapprox.engine import _WeightedSum, count_tail_hits, recurrence_error, sum_error
 from sapprox.model import ParameterError, ProblemSpec, Rademacher
 from sapprox.weights import h_norm, recurrence_factors, recursion_weights
 
@@ -216,12 +217,11 @@ def _signed_sums(first: float, weights: np.ndarray) -> np.ndarray:
 
 
 def _split_guard(weights: np.ndarray, error: float, threshold: float) -> float:
-    """Twice a bound on |a + b - s_m| (error plus m ulps of sum |w_k| for
-    the two left-to-right sums), plus 4 ulps of t + sum |w_k| for the
-    rounding of t +- guard - a.  FloatingPointError when not finite."""
+    """Twice a bound on |a + b - s_m| (error plus the two left-to-right
+    sums' sum_error), plus sum_error(4, t + sum |w_k|) for the rounding of
+    t +- guard - a.  FloatingPointError when not finite."""
     total = float(np.sum(np.abs(weights)))
-    guard = (2.0 * (error + len(weights) * UNIT_ROUNDOFF * total)
-             + 4.0 * UNIT_ROUNDOFF * (threshold + total))
+    guard = 2.0 * (error + sum_error(len(weights), total)) + sum_error(4, threshold + total)
     if not math.isfinite(guard):
         raise FloatingPointError("the signed sums overflow float64")
     return guard
@@ -295,19 +295,17 @@ def enumerate_signed_sum_tail(weights: Sequence[float], threshold: float) -> Fra
     """Exact P(|sum_k w_k xi_k| > t) for independent fair signs xi_k.
 
     Counts all 2^m sign patterns, each summed left to right in float64
-    (the recurrence with f_k = 1 and a_k = w_k), by the split count; the
-    count over 2^m is returned as an exact dyadic fraction.  The weights
-    must be finite; FloatingPointError if their sums overflow float64.
+    (the recurrence with f_k = 1 and a_k = w_k, within engine.sum_error),
+    by the split count; the count over 2^m is returned as an exact dyadic
+    fraction.  The weights must be finite; FloatingPointError if their sums
+    overflow float64.
     """
     w = np.asarray(weights, dtype=np.float64)
     if len(w) > ENUMERATION_MAX_N + 1:
         raise ValueError(f"too many terms for enumeration: {len(w)}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    # a sum of m terms taken left to right is within (m - 1) ulps of
-    # sum |w_k| of the exact sum (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2nd ed., eq. 4.4)
-    error = len(w) * UNIT_ROUNDOFF * float(np.sum(np.abs(w)))
+    error = sum_error(len(w), float(np.sum(np.abs(w))))
     return _split_tail(w, np.ones(len(w)), w, error, threshold)
 
 

@@ -83,7 +83,7 @@ class _Drift(_Model):
         t *= -self.c2
         u *= -self.c1
         u += t
-        return u
+        return u if isinstance(u, np.ndarray) else float(u)  # np.sin gives np.float64
 
 
 @dataclass(frozen=True)

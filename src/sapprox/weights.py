@@ -10,11 +10,12 @@ factors 1 + c/(j+1), where c = b * g'(x*) < 0.  This module evaluates
     weight_sum(...) = sum_{k=0}^{n} (k+1)^{-2} beta(c, k+1, n)^2
     h_norm(b, c, n) = (b^2 * weight_sum)^{-1/2}
 
-together with the closed-form sandwich bounds on beta.  Every factor is
-rounded by one expression (_factors), and each product of the factors is
-multiplied from the last factor backwards (suffix_products), in O(n) time
-and memory, or a chunk of factors at a time in O(1) memory for beta.  The
-one kernel of the linearized step d <- f_k d + a_k U_{k+1}
+together with the closed-form sandwich bounds on beta.  Each factor is
+rounded by one expression (f_k by _contraction, a_k by _factors, which
+pairs them; beta and the weights take f_k alone), and each product of the
+factors is multiplied from the last factor backwards (suffix_products), in
+O(n) time and memory, or a chunk of factors at a time in O(1) memory for
+beta.  The one kernel of the linearized step d <- f_k d + a_k U_{k+1}
 (sapprox.engine) steps on the same floats.  For c < -1 the first factors
 are zero or negative, so products may be zero or change sign; for large
 -c they overflow float64 to +-inf.
@@ -37,11 +38,11 @@ def beta(c: float, k: int, n: int) -> float:
         raise ValueError(f"c must be negative, got {c}")
     if k < 0 or n < 0:
         raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
-    # f_n, ..., f_k from _factors, _CHUNK at a time (O(1) memory), in one
+    # f_n, ..., f_k from _contraction, _CHUNK at a time (O(1) memory), in one
     # running product from the last factor backwards, as suffix_products does
     product = 1.0
     for top in range(n + 1, k, -_CHUNK):
-        f = _factors(1.0, c, np.arange(top, max(top - _CHUNK, k), -1.0))[0]
+        f = _contraction(c, np.arange(top, max(top - _CHUNK, k), -1.0))
         f[0] *= product
         product = float(np.cumprod(f, out=f)[-1])
     return product
@@ -76,14 +77,24 @@ def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarr
     replica's path takes them from _factors a chunk of steps at a time, so
     paths, weights and enumerated sums agree bitwise.
     """
+    return _factors(b, c, _indices(n))
+
+
+def _indices(n: int) -> np.ndarray:
+    """k + 1 for k = 0..n, as floats."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _factors(b, c, np.arange(1.0, n + 2.0))
+    return np.arange(1.0, n + 2.0)
+
+
+def _contraction(c: float, k1):
+    """1 + c/k1 for a float or an array k1: the factor f_k at k1 = k + 1."""
+    return 1.0 + c / k1
 
 
 def _factors(b: float, c: float, k1):
     """(1 + c/k1, b/k1) for a float or an array k1, rounded alike."""
-    return 1.0 + c / k1, b / k1
+    return _contraction(c, k1), b / k1
 
 
 _CHUNK = 4096  # steps whose factors a path or beta computes at once
@@ -104,9 +115,10 @@ def recursion_weights(spec, n: int) -> tuple[float, np.ndarray]:
     exactly X_{n+1} - x* = beta(c, 0, n) (x0 - x*) + sum_k w_k U_{k+1}.
     O(n) time and memory.
     """
-    f, _ = recurrence_factors(spec.b, spec.c, n)
+    k1 = _indices(n)
+    f = _contraction(spec.c, k1)
     suffix = suffix_products(f)
-    return float(f[0] * suffix[0]), spec.b * suffix / np.arange(1.0, n + 2.0)
+    return float(f[0] * suffix[0]), spec.b * suffix / k1
 
 
 def weight_sum(c: float, n: int) -> float:
@@ -119,9 +131,9 @@ def weight_sum(c: float, n: int) -> float:
     """
     if not c < 0:
         raise ValueError(f"c must be negative, got {c}")
-    f, _ = recurrence_factors(1.0, c, n)
+    k1 = _indices(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = suffix_products(f) / np.arange(1.0, n + 2.0)
+        terms = suffix_products(_contraction(c, k1)) / k1
         return float(np.cumsum(np.square(terms[::-1]))[-1])
 
 

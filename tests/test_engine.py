@@ -19,7 +19,7 @@ from sapprox.engine import (
     BlockStream,
     ReplicaStream,
     Trajectory,
-    _LinearRademacherTail,
+    _AffineTail,
     count_tail_hits,
     count_tail_hits_grid,
     envelope_bound,
@@ -526,7 +526,7 @@ class TestClosedFormTail:
             )
             if target == "weighted_sum" and not spec.c < -1.0:
                 continue
-            kernel = _LinearRademacherTail(spec, target, n)
+            kernel = _AffineTail(spec, target, n)
             fast = kernel.deviations(5, 0, 200)
             ref = batch_final_deviations(spec, target, n, 5, 200)
             err = float(np.max(np.abs(fast - ref)))
