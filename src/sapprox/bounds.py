@@ -18,6 +18,7 @@ import numpy as np
 
 from sapprox.engine import envelope_bound
 from sapprox.model import ProblemSpec
+from sapprox.weights import _indices
 
 
 def azuma_tail(t: float, ranges: Sequence[tuple[float, float]]) -> float:
@@ -87,8 +88,7 @@ def select_delta(spec: ProblemSpec, epsilon: float, n_probe: int) -> DeltaChoice
 
     # H[m] = sum_{i=0}^{m-1} 1/(i+1); margin at n needs
     # H[n+1] - H[floor(delta n)] > need
-    inv = 1.0 / (np.arange(n_probe + 1, dtype=np.float64) + 1.0)
-    H = np.concatenate(([0.0], np.cumsum(inv)))
+    H = np.concatenate(([0.0], np.cumsum(1.0 / _indices(n_probe))))
     ns = np.arange(1, n_probe + 1)
     starts = np.floor(delta * ns).astype(np.int64)
     margin_ok = (H[ns + 1] - H[starts]) > need
@@ -145,7 +145,7 @@ def exp_inequality_bound(
     b, ku = spec.b, spec.noise.Ku
     i0 = int(math.floor(choice.delta * n))
     # widths^2 of b*U_{i+1}/(i+1): (2 b Ku / (i+1))^2; suffix sums over i
-    w2 = (2.0 * b * ku / (np.arange(i0, n + 1, dtype=np.float64) + 1.0)) ** 2
+    w2 = (2.0 * b * ku / _indices(n, i0)) ** 2
     suffix = np.concatenate((np.cumsum(w2[::-1])[::-1], [0.0]))
     block = _azuma_from_ssq(2.0 * epsilon, float(suffix[0]))
     t = epsilon / 4.0

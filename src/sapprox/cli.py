@@ -44,14 +44,6 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
-class InfeasibleError(Exception):
-    pass
-
-
-class OracleMismatch(Exception):
-    pass
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -133,10 +125,9 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
 
     choice = select_delta(cfg.spec, epsilon, n_probe=max(n_grid))
     if not choice.feasible:
-        raise InfeasibleError(
-            f"margin condition infeasible for every n in the grid "
-            f"(probed to {choice.n_probe})"
-        )
+        print(f"infeasible: margin condition infeasible for every n in the grid "
+              f"(probed to {choice.n_probe})", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
     columns = [
         "n", "epsilon", "delta", "bound", "paper_form",
@@ -213,7 +204,8 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
         extra={"limit_rate": curve.limit_rate},
     )
     if oracle_failures:
-        raise OracleMismatch("; ".join(oracle_failures))
+        print(f"oracle mismatch: {'; '.join(oracle_failures)}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -284,12 +276,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     try:
         return _HANDLERS[args.command](cfg, args)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OracleMismatch as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -25,10 +25,11 @@ weights.recurrence_factors.  final_deviation (one replica), simulate (its
 recorded path), the tail counts' block loop and the enumeration oracle
 all step it, so a block row equals final_deviation bit for bit with linear
 drift, and to a relative 1e-12 with sine drift (np.sin may round apart).
-Under Rademacher noise, count_tail_hits sums a statistic that is affine in
-the noise (its `affine`: the weighted sum always, the recursion under linear
-drift) in closed form instead (_AffineTail, guarded by sum_error), with the
-hit counts of the sequential recurrence.
+Where the noise model's `fair_signs` says each draw is its value table at
+the step's sign bit, count_tail_hits sums a statistic affine in the noise
+(its `affine`: the weighted sum always, the recursion under linear drift) in
+closed form instead (_AffineTail, guarded by sum_error), with the hit counts
+of the sequential recurrence.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -46,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from sapprox.model import ProblemSpec, Rademacher
-from sapprox.weights import _CHUNK, _contraction, _factors, recurrence_factors, recursion_weights, suffix_products
+from sapprox.model import ProblemSpec
+from sapprox.weights import _CHUNK, _contraction, _indices, recurrence_factors, recursion_weights, suffix_products
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -251,7 +252,7 @@ def _scalar_path(spec: ProblemSpec, stat, n: int, seed: int, replica: int,
     kernel, state = stat.kernel, stat.start
     xs, us = (np.full(n + 2, state), np.empty(n + 1)) if record else (None, None)
     for lo in range(0, n + 1, _CHUNK):
-        fs, as_ = _factors(spec.b, spec.c, np.arange(lo + 1.0, min(lo + _CHUNK, n + 1) + 1.0))
+        fs, as_ = recurrence_factors(spec.b, spec.c, min(lo + _CHUNK - 1, n), lo)
         for k, f, a in zip(range(lo, n + 1), fs.tolist(), as_.tolist()):
             u = draw(k)
             state = kernel(state, f, a, u)
@@ -308,19 +309,15 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
     """Deterministic pathwise envelope B_0..B_{n+1} with |X_k - x*| <= B_k.
 
     B_{k+1} = q_k B_k + b Ku/(k+1) where q_k is the worst contraction
-    factor over slopes in [-K2, -K1]; F is the envelope supremum.
+    factor |f_k| = |1 + c/(k+1)| over c = -b K1 and c = -b K2, the ends of
+    the slopes [-K2, -K1]; F is the envelope supremum.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    b = spec.b
-    k1 = spec.drift.K1
-    k2 = spec.drift.K2
-    ku = spec.noise.Ku
-    ks = np.arange(n + 1, dtype=np.float64)
-    q = np.maximum(np.abs(1.0 - b * k1 / (ks + 1.0)), np.abs(1.0 - b * k2 / (ks + 1.0)))
-    drive = b * ku / (ks + 1.0)
+    b, drift = spec.b, spec.drift
+    k1 = _indices(n)
+    q = np.maximum(np.abs(_contraction(-b * drift.K1, k1)), np.abs(_contraction(-b * drift.K2, k1)))
+    drive = b * spec.noise.Ku / k1
     env = np.empty(n + 2)
-    env[0] = abs(spec.x0 - spec.drift.x_star)
+    env[0] = abs(spec.x0 - drift.x_star)
     cur = env[0]
     # past float64 the envelope is inf, and stays inf past a zero factor
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,7 +390,7 @@ def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form tail counting (affine statistics, Rademacher noise)
+# Closed-form tail counting (affine statistics, fair-sign noise)
 # ---------------------------------------------------------------------------
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -403,7 +400,7 @@ UNIT_ROUNDOFF = 2.0**-53
 _GUARD_ULPS = 16.0
 
 # _BYTE_BITS[r, v] is bit r of byte v, 0 or 1: a step's index into the
-# Rademacher value table (-sigma, sigma).
+# value table of a noise with fair_signs.
 _BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
 
 
@@ -432,7 +429,7 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
         raise ValueError(f"target {target!r} is not affine in the noise ({spec.drift.kind} drift)")
     # the envelope of the path whose deviation starts at start - origin
     env, _ = envelope_bound(replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), n)
-    k1 = np.arange(1.0, n + 2.0)
+    k1 = _indices(n)
     f = _contraction(spec.c, k1)
     spread = 1.0 + abs(spec.c) / k1
     tol = _GUARD_ULPS * UNIT_ROUNDOFF
@@ -443,7 +440,7 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
 
 class _AffineTail:
     """Tail counts of a statistic affine in the noise (_target's `affine`)
-    under Rademacher noise, in closed form.
+    under noise with fair_signs (sapprox.model), in closed form.
 
     Its final deviation is exactly beta(c, 0, n) d0 + sum_k w_k U_{k+1}
     (weights.recursion_weights), where U_{k+1} = values[bit] is the noise's
@@ -521,8 +518,8 @@ def count_tail_hits(
     every step of every path and the number of violating (path, step) pairs
     is returned.  Hit counts are exact integers accumulated in replica-block
     order, so the result does not depend on worker count.  Without an
-    envelope, an affine target under Rademacher noise is counted in closed
-    form (_AffineTail) with the same hits as the recurrence.
+    envelope, an affine target under noise with fair_signs is counted in
+    closed form (_AffineTail) with the same hits as the recurrence.
     Raises FloatingPointError if any final deviation is NaN or infinite.
     """
     return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
@@ -573,7 +570,7 @@ def count_tail_hits_grid(
                 f"horizon {horizons[-1]}, got {len(envelope)}"
             )
     closed_forms = None
-    if envelope is None and stat.affine and isinstance(spec.noise, Rademacher):
+    if envelope is None and stat.affine and spec.noise.fair_signs:
         closed_forms = [_AffineTail(spec, target, n) for n in horizons]
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable

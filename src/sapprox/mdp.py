@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from sapprox.engine import _WeightedSum, count_tail_hits, recurrence_error, sum_error
-from sapprox.model import ParameterError, ProblemSpec, Rademacher
+from sapprox.model import ParameterError, ProblemSpec
 from sapprox.weights import h_norm, recurrence_factors, recursion_weights
 
 ENUMERATION_MAX_N = 40
@@ -165,8 +165,6 @@ def estimate_tail(
     threshold = r b_n / h_n.  Deterministic given all arguments.
     """
     spec.require_mdp_regime()
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
     if not (r >= 0 and 0 < b_n < math.inf):  # written so that NaN fails
         raise ValueError(f"need r >= 0 and finite b_n > 0, got r={r}, b_n={b_n}")
     h = h_norm(spec.b, spec.c, n)
@@ -319,16 +317,14 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
     float level, not just in distribution.  The split count runs on the
     weights sigma w_k of weights.recursion_weights, within
     engine.recurrence_error of every such value, in about 2^(n/2) time and
-    memory.  Requires n <= ENUMERATION_MAX_N; FloatingPointError if the
-    weights overflow float64.
+    memory.  Requires noise with fair_signs (sapprox.model),
+    0 <= n <= ENUMERATION_MAX_N and b g'(x*) < -1; FloatingPointError if
+    the weights overflow float64.
     """
-    if not isinstance(spec.noise, Rademacher):
+    if not spec.noise.fair_signs:
         raise ValueError("enumeration oracle requires Rademacher noise")
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"n={n} too large for enumeration (max {ENUMERATION_MAX_N})")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    spec.require_mdp_regime()
     sigma = spec.noise.sigma
     factors, steps = recurrence_factors(spec.b, spec.c, n)
     weights = recursion_weights(spec, n)[1] * sigma
@@ -338,9 +334,9 @@ def exact_tail_enumeration(spec: ProblemSpec, n: int, threshold: float) -> Fract
 
 def oracle_tail(spec: ProblemSpec, target: str, n: int, threshold: float) -> Optional[Fraction]:
     """exact_tail_enumeration's P(|statistic| > threshold) where it covers
-    the row (weighted_sum target, Rademacher noise, n <= ENUMERATION_MAX_N),
-    else None."""
-    if target != "weighted_sum" or not isinstance(spec.noise, Rademacher) or n > ENUMERATION_MAX_N:
+    the row (weighted_sum target, noise with fair_signs, n <=
+    ENUMERATION_MAX_N), else None."""
+    if target != "weighted_sum" or not spec.noise.fair_signs or n > ENUMERATION_MAX_N:
         return None
     return exact_tail_enumeration(spec, n, threshold)
 

@@ -138,7 +138,12 @@ class _Noise(_Model):
     values[2*s + d] is the draw from state s going down (d = 0) or up
     (d = 1).  Each kind's sampler(stream) and block_sampler(stream) pick d
     from the stream and index this one table, so both give the same floats.
+    fair_signs (a class attribute) is true when every draw is values[sign
+    bit of its step], fair and independent of the past, as the closed-form
+    tail count and the enumeration oracle need.
     """
+
+    fair_signs = False
 
     sigma: float
 
@@ -165,6 +170,7 @@ class Rademacher(_Noise):
 
     kind = "rademacher"
     up_probability = (0.5,)
+    fair_signs = True
 
     def sampler(self, stream):
         """draw(k): the step-k value of a scalar engine.ReplicaStream."""

@@ -69,22 +69,22 @@ def beta_bounds(c: float, k: int, n: int) -> tuple[float, float]:
     return lower, upper
 
 
-def recurrence_factors(b: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f, a) with f_k = 1 + c/(k+1) and a_k = b/(k+1) for k = 0..n.
+def recurrence_factors(b: float, c: float, n: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(f, a) with f_k = 1 + c/(k+1) and a_k = b/(k+1) for k = lo..n.
 
     These are the floats of the linearized step d <- f_k d + a_k U_{k+1};
     each recurrence's one kernel (engine._target) steps on them, and one
-    replica's path takes them from _factors a chunk of steps at a time, so
-    paths, weights and enumerated sums agree bitwise.
+    replica's path takes them a chunk of steps at a time, so paths, weights
+    and enumerated sums agree bitwise.
     """
-    return _factors(b, c, _indices(n))
+    return _factors(b, c, _indices(n, lo))
 
 
-def _indices(n: int) -> np.ndarray:
-    """k + 1 for k = 0..n, as floats."""
+def _indices(n: int, lo: int = 0) -> np.ndarray:
+    """k + 1 for k = lo..n, as floats."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return np.arange(1.0, n + 2.0)
+    return np.arange(lo + 1.0, n + 2.0)
 
 
 def _contraction(c: float, k1):

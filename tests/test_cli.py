@@ -645,6 +645,24 @@ class TestRateCommand:
         assert main(["rate", "--config", str(path), "--oracle"]) == 1
         assert "oracle mismatch" in capsys.readouterr().err
 
+    def test_oracle_mismatch_line_after_the_table(self, tmp_path, monkeypatch, capsys):
+        import sapprox.cli as cli_mod
+
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "rate.csv"
+        argv = ["rate", "--config", str(path), "--set", "rate.n_grid=[12, 20]"]
+        assert main(argv) == 0
+        table = out.read_bytes()
+        out.unlink()
+        monkeypatch.setattr(cli_mod, "binomial_band", lambda *a, **k: (0, 0))
+        capsys.readouterr()
+        assert main([*argv, "--oracle"]) == 1
+        assert capsys.readouterr().err == (
+            "oracle mismatch: "
+            "n=12: hits=3472 outside 99.9% band [0, 0] around exact p=0.17626953125; "
+            "n=20: hits=3120 outside 99.9% band [0, 0] around exact p=0.15364646911621094\n")
+        assert out.read_bytes() == table  # the whole table, written before the exit
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         path, _ = write_config(tmp_path)
         main(["rate", "--config", str(path)])
