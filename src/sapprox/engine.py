@@ -36,6 +36,14 @@ through the path to every earlier horizon.  count_tail_hits_grid (which
 `sapprox bound` uses) therefore steps each replica block once to the last
 horizon of its grid and counts hits at every grid horizon on the way, with
 the same counts, and so the same output bytes, as one call per horizon.
+
+The envelope dominates every path, so a tail count can be decided with no
+path at all.  A horizon's reach is B_{n+1} + E_{n+1} (_Reach): the
+statistic's pathwise envelope, plus a forward bound on the rounding of its
+kernel.  No computed deviation lies beyond it, so a threshold beyond the
+reach has 0 hits at every seed, and count_tail_hits_grid steps no replica
+for that horizon (it settles it).  Both terms are built once per grid, at
+its last horizon, and sliced for every horizon and every closed-form guard.
 """
 
 from __future__ import annotations
@@ -210,6 +218,15 @@ class _Recursion:
         x += t
         return x
 
+    @staticmethod
+    def lipschitz(spec: ProblemSpec, k1: np.ndarray) -> np.ndarray:
+        """A Lipschitz factor of step k in the state, at k1 = k + 1: the
+        worst contraction factor q_k = max |f_k| = |1 + c/(k+1)| over
+        c = -b K1 and c = -b K2, since the slope 1 + a_k g' lies between
+        1 - a_k K2 and 1 - a_k K1.  Bitwise |f_k| under linear drift."""
+        b, drift = spec.b, spec.drift
+        return np.maximum(np.abs(_contraction(-b * drift.K1, k1)), np.abs(_contraction(-b * drift.K2, k1)))
+
 
 class _WeightedSum:
     """S_k from 0, the noise part of the linearization; needs b g'(x*) < -1."""
@@ -227,6 +244,11 @@ class _WeightedSum:
         u *= a
         s += u
         return s
+
+    @staticmethod
+    def lipschitz(spec: ProblemSpec, k1: np.ndarray) -> np.ndarray:
+        """The Lipschitz factor |f_k| of step k in the state."""
+        return np.abs(_contraction(spec.c, k1))
 
 
 # what a tail count follows: the recursion, or its linearization's noise sum
@@ -309,15 +331,14 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
     """Deterministic pathwise envelope B_0..B_{n+1} with |X_k - x*| <= B_k.
 
     B_{k+1} = q_k B_k + b Ku/(k+1) where q_k is the worst contraction
-    factor |f_k| = |1 + c/(k+1)| over c = -b K1 and c = -b K2, the ends of
-    the slopes [-K2, -K1]; F is the envelope supremum.
+    factor, the recursion's Lipschitz factor (_Recursion.lipschitz), since
+    g(x*) = 0; F is the envelope supremum.
     """
-    b, drift = spec.b, spec.drift
     k1 = _indices(n)
-    q = np.maximum(np.abs(_contraction(-b * drift.K1, k1)), np.abs(_contraction(-b * drift.K2, k1)))
-    drive = b * spec.noise.Ku / k1
+    q = _Recursion.lipschitz(spec, k1)
+    drive = spec.b * spec.noise.Ku / k1
     env = np.empty(n + 2)
-    env[0] = abs(spec.x0 - drift.x_star)
+    env[0] = abs(spec.x0 - spec.drift.x_star)
     cur = env[0]
     # past float64 the envelope is inf, and stays inf past a zero factor
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,6 +432,49 @@ def sum_error(terms, magnitude: float) -> float:
     return terms * UNIT_ROUNDOFF * magnitude
 
 
+class _Reach:
+    """How far a statistic's computed deviation d_{n+1} (the state after
+    step n, minus its origin) can lie from 0, for each horizon n <= last, on
+    every noise path: |d_{n+1}| <= B_{n+1} + E_{n+1}, the reach of n.
+
+    B is the pathwise envelope (envelope_bound) with x0 moved to the
+    statistic's start, so that it bounds |d_k| of the recursion and of the
+    weighted sum alike: |f_k| <= q_k.  E is the forward error recurrence
+    E_{k+1} = L_k E_k + ulps (|origin| + B_{k+1} + (1 + |c|/(k+1)) B_k + b Ku/(k+1)),
+    with L_k the statistic's Lipschitz factor (its `lipschitz`) and ulps
+    = _GUARD_ULPS unit roundoffs: it bounds |computed - exact| for the
+    statistic's kernel, the rounding of the factors and of B included.
+    This assumes np.sin faithful to a few ulps, which leaves one step of the
+    sine recursion, like one of the linear ones, under ten roundings.  E_k
+    feeds the next step's rounding through |d_k| <= B_k + E_k, and the
+    allowance left at the last step covers the final subtraction of the
+    origin and the rounding of B + E.
+
+    Both are built once, for the last horizon; the envelope is a sequential
+    loop and E_{n+1} a dot product over the first n + 1 steps, so each
+    horizon's values are bitwise those built for that horizon alone.
+    Past float64 B is inf, and B + E is inf or NaN: it bounds nothing.
+    """
+
+    def __init__(self, spec: ProblemSpec, stat, last: int):
+        # the envelope of the path whose deviation starts at start - origin
+        self.envelope, _ = envelope_bound(
+            replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), last)
+        env = self.envelope
+        k1 = _indices(last)
+        spread = 1.0 + abs(spec.c) / k1
+        tol = _GUARD_ULPS * UNIT_ROUNDOFF
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._local = tol * (abs(stat.origin) + env[1:] + spread * env[:-1]
+                                 + spec.b * spec.noise.Ku / k1)
+            self._growth = stat.lipschitz(spec, k1) + tol * spread
+
+    def error(self, n: int) -> float:
+        """E_{n+1}, the rounding bound of d_{n+1}."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(suffix_products(self._growth[: n + 1]) @ self._local[: n + 1])
+
+
 def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     """A bound on |computed - exact| for the final deviation that the
     target's kernel (_target) computes, on every noise path, where that
@@ -418,24 +482,14 @@ def recurrence_error(spec: ProblemSpec, target: str, n: int) -> float:
     is beta(c, 0, n) d0 + sum_k w_k U_{k+1} over the floats of
     weights.recursion_weights, with d0 = start - origin.
 
-    The bound is E_{n+1} of the forward error recurrence
-    E_{k+1} = |f_k| E_k + ulps (|origin| + B_{k+1} + (1 + |c|/(k+1)) B_k + b Ku/(k+1)),
-    with B the pathwise envelope of |d_k| (the partial sum bound for
-    weighted_sum); it covers the rounding of the recurrence and of the
-    weights.
+    The bound is E_{n+1} of _Reach's forward error recurrence, whose
+    Lipschitz factor is |f_k| for an affine statistic; it covers the
+    rounding of the recurrence and of the weights.
     """
     stat = _target(spec, target)
     if not stat.affine:
         raise ValueError(f"target {target!r} is not affine in the noise ({spec.drift.kind} drift)")
-    # the envelope of the path whose deviation starts at start - origin
-    env, _ = envelope_bound(replace(spec, x0=stat.start + (spec.drift.x_star - stat.origin)), n)
-    k1 = _indices(n)
-    f = _contraction(spec.c, k1)
-    spread = 1.0 + abs(spec.c) / k1
-    tol = _GUARD_ULPS * UNIT_ROUNDOFF
-    local = tol * (abs(stat.origin) + env[1:] + spread * env[:-1] + spec.b * spec.noise.Ku / k1)
-    # E_k feeds the next step's rounding through |d_k| <= B_k + E_k
-    return float(suffix_products(np.abs(f) + tol * spread) @ local)
+    return _Reach(spec, stat, n).error(n)
 
 
 class _AffineTail:
@@ -456,14 +510,17 @@ class _AffineTail:
     The result is not bitwise equal to the sequential recurrence, so
     `guard` bounds |closed form - recurrence| for every replica: it is
     twice the sum of two bounds on the distance to the exact value.  The
-    first is recurrence_error, which covers the rounding of the recurrence
-    and of the weights.  The second is sum_error of the start plus 8 table
-    entries per word, each a sum of 8.  A replica whose |deviation| lies
-    within guard of the threshold is recomputed by the scalar reference
-    (bitwise the batch row), so hit counts equal the recurrence's exactly.
+    first is `error`, recurrence_error(spec, target, n) unless the caller
+    has that float already (a _Reach's error(n)); it covers the rounding of
+    the recurrence and of the weights.  The second is sum_error of the start
+    plus 8 table entries per word, each a sum of 8.  A replica whose
+    |deviation| lies within guard of the threshold is recomputed by the
+    scalar reference (bitwise the batch row), so hit counts equal the
+    recurrence's exactly.
     """
 
-    def __init__(self, spec: ProblemSpec, target: str, n: int):
+    def __init__(self, spec: ProblemSpec, target: str, n: int,
+                 error: Optional[float] = None):
         self.spec, self.n, self._stat = spec, n, _target(spec, target)
         beta0, w = recursion_weights(spec, n)
         self.words = n // 64 + 1
@@ -475,7 +532,9 @@ class _AffineTail:
         self.start = beta0 * (self._stat.start - self._stat.origin)
         magnitude = abs(self.start) + spec.noise.Ku * float(np.sum(np.abs(padded)))
         summation = sum_error(8 * self.words + 9, magnitude)
-        self.guard = 2.0 * (recurrence_error(spec, target, n) + summation)
+        if error is None:
+            error = recurrence_error(spec, target, n)
+        self.guard = 2.0 * (error + summation)
 
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi)."""
@@ -519,8 +578,10 @@ def count_tail_hits(
     is returned.  Hit counts are exact integers accumulated in replica-block
     order, so the result does not depend on worker count.  Without an
     envelope, an affine target under noise with fair_signs is counted in
-    closed form (_AffineTail) with the same hits as the recurrence.
-    Raises FloatingPointError if any final deviation is NaN or infinite.
+    closed form (_AffineTail) with the same hits as the recurrence, and a
+    threshold beyond the horizon's reach is settled with no path stepped
+    (count_tail_hits_grid).  Raises ValueError for a NaN threshold, and
+    FloatingPointError if any final deviation is NaN or infinite.
     """
     return count_tail_hits_grid(spec, target, (n,), (threshold,), seed, replicas,
                                 inclusive, workers, envelope)[0]
@@ -541,10 +602,20 @@ def count_tail_hits_grid(
     thresholds[i] for horizons[i]; result i equals that single-horizon call.
 
     Paths are nested (noise depends on the step, not on the horizon), so
-    each replica block is stepped once to the last horizon and counted at
-    every horizon on the way.  Envelope violations of result i are those
-    through step horizons[i].  The closed form shares nothing across
-    horizons (its weights depend on n) and is evaluated per horizon.
+    each replica block is stepped once to the last horizon it counts and
+    counted at every horizon on the way.  Envelope violations of result i
+    are those through step horizons[i].  The closed form shares nothing
+    across horizons (its weights depend on n) and is evaluated per horizon.
+
+    Settled horizons.  Without an envelope, a horizon n whose threshold
+    lies beyond its reach B_{n+1} + E_{n+1} (_Reach: the statistic's
+    pathwise envelope plus the rounding bound of its kernel, built once for
+    the last horizon) has 0 hits on every path, for > and >= alike, so
+    no replica is stepped for it: blocks run only to the last unsettled
+    horizon, no closed form is built for a settled one, and a grid that is
+    settled throughout runs no block.  A reach that is not finite settles
+    nothing, so an overflowing statistic still raises.  A given envelope
+    asks for the violations of every path, and turns settling off.
     """
     horizons, thresholds = tuple(horizons), tuple(thresholds)
     if replicas < 1:
@@ -560,6 +631,8 @@ def count_tail_hits_grid(
             f"need one threshold per horizon, got {len(thresholds)} for "
             f"{len(horizons)} horizons"
         )
+    if any(math.isnan(t) for t in thresholds):
+        raise ValueError(f"thresholds must not be NaN, got {thresholds}")
     stat = _target(spec, target)
     if envelope is not None:
         if not stat.bounded:
@@ -569,9 +642,20 @@ def count_tail_hits_grid(
                 f"envelope needs B_0..B_{{n+1}}, {horizons[-1] + 2} entries for "
                 f"horizon {horizons[-1]}, got {len(envelope)}"
             )
+        live = list(range(len(horizons)))  # violations need every path
+    else:
+        reach = _Reach(spec, stat, horizons[-1])
+        errors = [reach.error(n) for n in horizons]
+        # the unsettled horizons: not (t > reach), so a NaN reach settles none
+        live = [i for i, (n, t, e) in enumerate(zip(horizons, thresholds, errors))
+                if not t > reach.envelope[n + 1] + e]
+    results = [BatchResult(hits=0, envelope_violations=0)] * len(horizons)
+    if not live:
+        return tuple(results)
+    ns, ts = [horizons[i] for i in live], [thresholds[i] for i in live]
     closed_forms = None
     if envelope is None and stat.affine and spec.noise.fair_signs:
-        closed_forms = [_AffineTail(spec, target, n) for n in horizons]
+        closed_forms = [_AffineTail(spec, target, horizons[i], errors[i]) for i in live]
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
 
@@ -579,13 +663,13 @@ def count_tail_hits_grid(
         lo, hi = rng
         if closed_forms is not None:
             return [(form.hits(seed, lo, hi, t, inclusive), 0)
-                    for form, t in zip(closed_forms, thresholds)]
-        rows = _run_block(spec, stat, horizons, seed, lo, hi, envelope)
+                    for form, t in zip(closed_forms, ts)]
+        rows = _run_block(spec, stat, ns, seed, lo, hi, envelope)
         return [(_count_beyond(np.abs(devs), t, inclusive), violations)
-                for (devs, violations), t in zip(rows, thresholds)]
+                for (devs, violations), t in zip(rows, ts)]
 
     parts = _map_blocks(one, replicas, workers)
-    return tuple(BatchResult(hits=sum(p[i][0] for p in parts),
-                             envelope_violations=sum(p[i][1] for p in parts))
-                 for i in range(len(horizons)))
-
+    for j, i in enumerate(live):
+        results[i] = BatchResult(hits=sum(p[j][0] for p in parts),
+                                 envelope_violations=sum(p[j][1] for p in parts))
+    return tuple(results)

@@ -227,13 +227,19 @@ def _split_guard(weights: np.ndarray, error: float, threshold: float) -> float:
 
 def _window_pairs(rows: np.ndarray, first: np.ndarray, count: np.ndarray):
     """(rows[r], position) arrays of every pair in the windows
-    [first_r, first_r + count_r) of rows r, _SPLIT_CHUNK pairs at a time."""
+    [first_r, first_r + count_r) of rows r, _SPLIT_CHUNK pairs at a time.
+    Pair p of the listing is pair p - starts_r of the row r that holds it;
+    a chunk repeats each row index over the pairs of the row in the chunk."""
     ends = np.cumsum(count)
+    starts = ends - count
     total = int(ends[-1])
     for p in range(0, total, _SPLIT_CHUNK):
-        pos = np.arange(p, min(p + _SPLIT_CHUNK, total))
-        w = np.searchsorted(ends, pos, "right")
-        yield rows[w], first[w] + pos - (ends[w] - count[w])
+        q = min(p + _SPLIT_CHUNK, total)
+        # the rows that hold pairs p and q - 1, and the pairs of each between
+        r0, r1 = np.searchsorted(ends, (p, q - 1), "right")
+        held = np.minimum(ends[r0:r1 + 1], q) - np.maximum(starts[r0:r1 + 1], p)
+        w = np.repeat(np.arange(r0, r1 + 1), held)
+        yield rows[w], first[w] + np.arange(p, q) - starts[w]
 
 
 def _split_tail(weights: np.ndarray, factors: Sequence[float], steps: Sequence[float],
