@@ -93,11 +93,10 @@ def select_delta(spec: ProblemSpec, epsilon: float, n_probe: int) -> DeltaChoice
     starts = np.floor(delta * ns).astype(np.int64)
     margin_ok = (H[ns + 1] - H[starts]) > need
 
-    feasible_from: Optional[int] = None
-    for idx in range(len(ns) - 1, -1, -1):
-        if not margin_ok[idx]:
-            break
-        feasible_from = int(ns[idx])
+    # the margin holds from just past the last horizon where it fails
+    failing = np.flatnonzero(~margin_ok)
+    first = int(failing[-1]) + 1 if failing.size else 0
+    feasible_from = int(ns[first]) if first < len(ns) else None
     return DeltaChoice(
         delta=delta, F=F, epsilon=epsilon, feasible_from=feasible_from, n_probe=n_probe
     )

@@ -44,6 +44,8 @@ kernel.  No computed deviation lies beyond it, so a threshold beyond the
 reach has 0 hits at every seed, and count_tail_hits_grid steps no replica
 for that horizon (it settles it).  Both terms are built once per grid, at
 its last horizon, and sliced for every horizon and every closed-form guard.
+The envelope is envelope_bound's read-only array, which keeps the last
+(spec, n) asked for: `sapprox bound` shares one with bounds.select_delta.
 """
 
 from __future__ import annotations
@@ -333,20 +335,44 @@ def envelope_bound(spec: ProblemSpec, n: int) -> tuple[np.ndarray, float]:
     B_{k+1} = q_k B_k + b Ku/(k+1) where q_k is the worst contraction
     factor, the recursion's Lipschitz factor (_Recursion.lipschitz), since
     g(x*) = 0; F is the envelope supremum.
+
+    The array is read-only and shared: the last (spec, n) asked for is kept,
+    so `sapprox bound` builds it once for bounds.select_delta's F and the
+    reach of count_tail_hits_grid (_Reach).
     """
+    global _last_envelope
+    key, env, sup = _last_envelope
+    if key != (spec, n):
+        env = _build_envelope(spec, n)
+        env.flags.writeable = False
+        sup = float(np.max(env))
+        _last_envelope = ((spec, n), env, sup)
+    return env, sup
+
+
+# ((spec, n), B, F) of the last call, replaced whole: two threads that miss
+# at once each build the same array, and neither can read a torn entry
+_last_envelope: tuple = (None, None, None)
+
+
+def _build_envelope(spec: ProblemSpec, n: int) -> np.ndarray:
+    """envelope_bound's B, stepped on Python floats (which round as float64
+    does and raise no warning) _CHUNK steps at a time, in O(n) memory."""
     k1 = _indices(n)
-    q = _Recursion.lipschitz(spec, k1)
-    drive = spec.b * spec.noise.Ku / k1
     env = np.empty(n + 2)
     env[0] = abs(spec.x0 - spec.drift.x_star)
-    cur = env[0]
+    cur = float(env[0])
+    for lo in range(0, n + 1, _CHUNK):
+        chunk = k1[lo: lo + _CHUNK]
+        q, drive = _Recursion.lipschitz(spec, chunk), spec.b * spec.noise.Ku / chunk
+        steps = []
+        for q_k, drive_k in zip(q.tolist(), drive.tolist()):
+            cur = q_k * cur + drive_k
+            steps.append(cur)
+        env[lo + 1: lo + 1 + len(chunk)] = steps
     # past float64 the envelope is inf, and stays inf past a zero factor
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            cur = q[k] * cur + drive[k]
-            env[k + 1] = cur
     env[np.isnan(env)] = np.inf
-    return env, float(np.max(env))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +478,9 @@ class _Reach:
 
     Both are built once, for the last horizon; the envelope is a sequential
     loop and E_{n+1} a dot product over the first n + 1 steps, so each
-    horizon's values are bitwise those built for that horizon alone.
+    horizon's values are bitwise those built for that horizon alone.  For
+    the recursion the moved x0 is x0 itself, so the envelope is the one
+    that bounds.select_delta took at that horizon, read-only and not rebuilt.
     Past float64 B is inf, and B + E is inf or NaN: it bounds nothing.
     """
 
