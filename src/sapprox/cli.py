@@ -6,9 +6,18 @@ Subcommands:
   rate       moderate-deviation rate curve over an n-grid
   selftest   fast invariant suites, exit 0 iff all pass
 
+Each command that reads a config is one row of `_COMMANDS`: its handler,
+which gets the parsed config and the arguments and returns the exit code,
+and the flags it takes beside the shared ones (--config, --output,
+--format, --workers, --set); rate's --oracle is the only such flag.  The
+parser is built from the table and main dispatches through it, so a new
+command is one row here and one in config._BLOCKS.  selftest reads no
+config and stays outside the table.
+
 --output and --format override the command's config block (config <
 --set < flag) before config.parse_config checks it; mdp.oracle_tail decides
-which rows the exact oracle covers.
+which rows the exact oracle covers.  A --workers below 1 is reported as a
+config error, after the config's own issues.
 
 All randomness derives from the single seed in the config file; output is
 byte-identical across runs and worker counts.  Exit codes: 0 success,
@@ -30,6 +39,7 @@ from sapprox import selftest as selftest_mod
 from sapprox.bounds import exp_inequality_bound, paper_form_bound, select_delta
 from sapprox.config import (
     ConfigError,
+    ConfigIssue,
     ExperimentConfig,
     apply_overrides,
     load_raw,
@@ -221,6 +231,15 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+# command -> (its handler, and the flags it takes beside the shared ones)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, {}),
+    "bound": (_cmd_bound, {}),
+    "rate": (_cmd_rate, {"--oracle": dict(action="store_true", help="cross-check Monte Carlo "
+                                          "rows against exact enumeration where available")}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sapprox",
@@ -228,30 +247,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "exponential bounds and moderate-deviation rate curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "bound", "rate"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--output", help=f"override {name}.output")
         p.add_argument("--format", help=f"override {name}.format")
         p.add_argument("--workers", type=int, default=1,
                        help="max parallel workers for replica blocks")
-        if name == "rate":
-            p.add_argument("--oracle", action="store_true",
-                           help="cross-check Monte Carlo rows against exact "
-                           "enumeration where available")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field")
     sub.add_parser("selftest")
     return parser
 
 
-_HANDLERS = {"simulate": _cmd_simulate, "bound": _cmd_bound, "rate": _cmd_rate}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         return _cmd_selftest(args)
+    # reported after the config's own issues
+    issues = [ConfigIssue("workers", "must be >= 1")] if args.workers < 1 else []
     try:
         raw = load_raw(args.config)
         raw = apply_overrides(raw, args.overrides)
@@ -268,14 +284,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:
-        for issue in exc.issues:
+        issues = [*exc.issues, *issues]
+    if issues:
+        for issue in issues:
             print(f"config error: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.workers < 1:
-        print("config error: workers: must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
-        return _HANDLERS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

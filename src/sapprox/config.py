@@ -25,6 +25,26 @@ is an `output` or `format` in a simulate block whose `record` is false,
 which writes no file.  The seed is mandatory: there is no wall-clock
 fallback, every run must be reproducible from the file alone.
 
+Each command's block is one row of the table `_BLOCKS`: its fields in
+order, one reader per field, and an optional rule across fields.  A reader
+takes `(value, path, issues)`, with `MISSING` for an absent field, and
+returns the parsed value, its default filled in.  Absent and null differ
+for one field only:
+
+    field     absent                        null
+    record    true                          "must be a boolean"
+    format    csv                           csv
+    paper_c   None                          None
+    output    "an output path is required"  the same
+    others    the field's issue             the same
+
+parse_config does the same for every command: it reads each field, runs
+the row's rule on the block's issues (simulate's refuses an output or
+format when `record` is false; rate's builds the Schedule and checks the
+deviation regime), then reports the block's unknown fields.  A command
+with no row has no fields.  ROOT_FIELDS ends with the table's commands, so
+a new command is one row here and one in `cli._COMMANDS`, and no branch.
+
 This module checks JSON types, and the ranges of the fields that no
 constructor takes: seed in [0, 2^64), simulate.n >= 0, replicas >= 1,
 epsilon > 0 and paper_c > 0.  The other ranges are checked where their
@@ -38,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Container, Optional
 
@@ -48,8 +69,6 @@ from sapprox.model import DRIFTS, NOISES, ParameterError, ProblemSpec
 SCHEMA_VERSION = 1
 
 OUTPUT_FORMATS = ("csv", "json")
-ROOT_FIELDS = ("schema_version", "seed", "drift", "noise", "b", "x0",
-               "simulate", "bound", "rate")
 
 
 @dataclass(frozen=True)
@@ -109,13 +128,11 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             parsed = value
         node = out
         for i, part in enumerate(parts[:-1]):
-            if part not in node:
-                node[part] = {}
-            elif not isinstance(node[part], dict):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
                 prefix = ".".join(parts[:i + 1])
                 raise ConfigError([ConfigIssue(
                     item, f"{prefix} is not an object, so it has no field {parts[i + 1]}")])
-            node = node[part]
         node[parts[-1]] = parsed
     return out
 
@@ -179,17 +196,21 @@ def _unknown_fields(node: Any, prefix: str, known: Container[str],
                       for key in node if prefix + key not in known)
 
 
+def _one_of(choices: tuple, value: Any, path: str, issues: list[ConfigIssue]) -> Any:
+    if value in choices:
+        return value
+    issues.append(ConfigIssue(path, f"must be one of {choices}"))
+    return None
+
+
 def _build_model(raw: dict, section: str, registry: dict, issues: list[ConfigIssue],
                  path_of: Callable[[str], str]):
     """The drift or noise model of `section`: the class its kind names in
     the registry, built from that class's fields, the only ones it may hold."""
-    kind = _lookup(raw, f"{section}.kind")
-    cls = registry.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        issues.append(
-            ConfigIssue(f"{section}.kind", f"must be one of {tuple(registry)}")
-        )
+    kind = _one_of(tuple(registry), _lookup(raw, f"{section}.kind"), f"{section}.kind", issues)
+    if kind is None:
         return None
+    cls = registry[kind]
     # the section holds its kind and fields, and the objects that hold fields
     # (drift.parameters); sorted, as a set's order changes between runs
     known = {f"{section}.kind", *(path_of(f.name) for f in fields(cls))}
@@ -207,28 +228,76 @@ def _build_model(raw: dict, section: str, registry: dict, issues: list[ConfigIss
     return _construct(lambda: cls(**values), path_of, issues)
 
 
-def _n_grid(block: dict, path: str, issues: list[ConfigIssue]) -> Optional[tuple]:
-    grid = block.get("n_grid")
+def _n_grid(grid: Any, path: str, issues: list[ConfigIssue]) -> Optional[tuple]:
     if not isinstance(grid, list) or not all(_is_int(n) for n in grid):
-        issues.append(ConfigIssue(f"{path}.n_grid", "must be a list of integers"))
+        issues.append(ConfigIssue(path, "must be a list of integers"))
         return None
-    return _construct(horizon_grid, lambda name: f"{path}.{name}", issues, grid)
+    return _construct(horizon_grid, lambda name: path, issues, grid)
 
 
-def _output(block: dict, path: str, issues: list[ConfigIssue], required: bool) -> dict:
-    """The block's output path, None when absent, and its format."""
-    out = block.get("output")
-    if out is None:
-        if required:
-            issues.append(ConfigIssue(f"{path}.output", "an output path is required"))
-    elif not isinstance(out, str) or not out:
-        issues.append(ConfigIssue(f"{path}.output", "must be a non-empty string"))
-    fmt = block.get("format")
-    if fmt is not None and fmt not in OUTPUT_FORMATS:
-        issues.append(
-            ConfigIssue(f"{path}.format", f"must be one of {OUTPUT_FORMATS}")
-        )
-    return {"output": out, "format": "csv" if fmt is None else fmt}
+def _optional(default: Any, read: Callable) -> Callable:
+    """A reader giving `default` for a field that is absent or null, and
+    reading any other value with `read`."""
+    return lambda value, path, issues: (
+        default if value is None or value is MISSING else read(value, path, issues))
+
+
+def _record(value: Any, path: str, issues: list[ConfigIssue]) -> bool:
+    """True when absent; a value that is not a boolean is read as true."""
+    if value is not MISSING and not isinstance(value, bool):
+        issues.append(ConfigIssue(path, "must be a boolean"))
+    return value is not False
+
+
+def _output(value: Any, path: str, issues: list[ConfigIssue]) -> Optional[str]:
+    if value is None or value is MISSING:
+        issues.append(ConfigIssue(path, "an output path is required"))
+    elif not isinstance(value, str) or not value:
+        issues.append(ConfigIssue(path, "must be a non-empty string"))
+    return value
+
+
+def _unrecorded(given: dict, block: dict, spec: Any, issues: list) -> None:
+    """A simulate block whose record is false writes no file, so an output
+    or format in it is refused, in place of what their readers found in it."""
+    if not block["record"]:
+        refused = {f"simulate.{key}": key for key in ("output", "format")}
+        issues[:] = [issue for issue in issues if issue.path not in refused]
+        issues.extend(ConfigIssue(path, "record is false, so no file is written")
+                      for path, key in refused.items() if given.get(key) is not None)
+        block.update(output=None, format="csv")
+
+
+def _schedule(given: dict, block: dict, spec: Any, issues: list) -> Optional[Schedule]:
+    """The rate block's Schedule, and the deviation regime of its spec."""
+    values = block["gamma"], block["n_grid"], block["r"]
+    schedule = None if None in values else _construct(
+        Schedule, lambda name: f"rate.{name}", issues, *values)
+    if spec is not None and spec.drift is not None:
+        try:
+            spec.require_mdp_regime()
+        except ValueError as exc:
+            issues.append(ConfigIssue("rate", str(exc)))
+    return schedule
+
+
+_format = _optional("csv", partial(_one_of, OUTPUT_FORMATS))
+
+# command -> (its block's fields, in order, each with its reader, and the
+# block's cross-field rule or None)
+_BLOCKS = {
+    "simulate": ({"n": partial(_int, minimum=0), "record": _record,
+                  "output": _output, "format": _format}, _unrecorded),
+    "bound": ({"epsilon": partial(_real, positive=True, message="must be a real number > 0"),
+               "n_grid": _n_grid, "replicas": partial(_int, minimum=1),
+               "paper_c": _optional(None, partial(_real, positive=True,
+                                                  message="must be null or a real > 0")),
+               "output": _output, "format": _format}, None),
+    "rate": ({"target": partial(_one_of, TARGETS), "gamma": _real, "r": _real,
+              "n_grid": _n_grid, "replicas": partial(_int, minimum=1),
+              "output": _output, "format": _format}, _schedule),
+}
+ROOT_FIELDS = ("schema_version", "seed", "drift", "noise", "b", "x0", *_BLOCKS)
 
 
 def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
@@ -269,55 +338,19 @@ def parse_config(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
     schedule = None
     if command is not None:
         given = raw.get(command)
+        readers, rule = _BLOCKS.get(command, ({}, None))  # an unknown command has no fields
         if not isinstance(given, dict):
             issues.append(ConfigIssue(command, f"missing '{command}' block"))
-        elif command == "simulate":
-            n = _int(given.get("n"), "simulate.n", issues, 0)
-            record = given.get("record", True)
-            if not isinstance(record, bool):
-                issues.append(ConfigIssue("simulate.record", "must be a boolean"))
-                record = True
-            if record:
-                block = {"n": n, "record": record,
-                         **_output(given, "simulate", issues, required=True)}
-            else:
-                block = {"n": n, "record": record, "output": None, "format": "csv"}
-                issues.extend(
-                    ConfigIssue(f"simulate.{key}", "record is false, so no file is written")
-                    for key in ("output", "format") if given.get(key) is not None)
-        elif command == "bound":
-            paper_c = given.get("paper_c")
-            block = {
-                "epsilon": _real(given.get("epsilon"), "bound.epsilon", issues,
-                                 positive=True, message="must be a real number > 0"),
-                "n_grid": _n_grid(given, "bound", issues),
-                "replicas": _int(given.get("replicas"), "bound.replicas", issues, 1),
-                "paper_c": None if paper_c is None else _real(
-                    paper_c, "bound.paper_c", issues,
-                    positive=True, message="must be null or a real > 0"),
-                **_output(given, "bound", issues, required=True),
-            }
-        elif command == "rate":
-            target = given.get("target")
-            if target not in TARGETS:
-                issues.append(ConfigIssue("rate.target", f"must be one of {TARGETS}"))
-            gamma = _real(given.get("gamma"), "rate.gamma", issues)
-            r = _real(given.get("r"), "rate.r", issues)
-            grid = _n_grid(given, "rate", issues)
-            if None not in (gamma, r, grid):
-                schedule = _construct(Schedule, lambda name: f"rate.{name}",
-                                      issues, gamma, grid, r)
-            block = {"target": target, "gamma": gamma, "r": r, "n_grid": grid,
-                     "replicas": _int(given.get("replicas"), "rate.replicas", issues, 1),
-                     **_output(given, "rate", issues, required=True)}
-            if spec is not None and drift is not None:
-                try:
-                    spec.require_mdp_regime()
-                except ValueError as exc:
-                    issues.append(ConfigIssue("rate", str(exc)))
-        else:
+        elif command not in _BLOCKS:
             issues.append(ConfigIssue(command, f"unknown command {command!r}"))
-        _unknown_fields(given, f"{command}.", {f"{command}.{key}" for key in block}, issues)
+        else:
+            found: list[ConfigIssue] = []  # the block's own issues, which its rule may replace
+            block = {name: read(given.get(name, MISSING), f"{command}.{name}", found)
+                     for name, read in readers.items()}
+            if rule is not None:
+                schedule = rule(given, block, spec, found)
+            issues += found
+        _unknown_fields(given, f"{command}.", {f"{command}.{key}" for key in readers}, issues)
 
     if issues:
         raise ConfigError(issues)

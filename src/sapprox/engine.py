@@ -648,6 +648,8 @@ def count_tail_hits_grid(
     horizons, thresholds = tuple(horizons), tuple(thresholds)
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not horizons:
         raise ValueError("horizons must not be empty")
     if horizons[0] < 0:

@@ -196,6 +196,22 @@ class TestCheckedWhereUsed:
         with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
             envelope_bound(mdp_spec(), -1)
 
+    # only counts below 1, so that no thread is started
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("count", [
+        lambda spec, workers: engine.count_tail_hits(
+            spec, "recursion", 10, 1, 100, 0.5, workers=workers),
+        lambda spec, workers: engine.count_tail_hits_grid(
+            spec, "weighted_sum", [5, 10], [0.5, 0.5], 1, 100, workers=workers),
+        lambda spec, workers: estimate_tail(
+            "weighted_sum", spec, 10, 1.0, 1.5, 100, seed=1, workers=workers),
+        lambda spec, workers: mdp.rate_curve(
+            "recursion", spec, mdp.Schedule(3.0, (5, 10), 1.0), 100, 1, workers=workers),
+    ], ids=["count_tail_hits", "count_tail_hits_grid", "estimate_tail", "rate_curve"])
+    def test_workers_below_one(self, count, workers):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+            count(mdp_spec(), workers)
+
 
 def model_imports(module: str) -> set[str]:
     """The names a sapprox module imports from sapprox.model."""
