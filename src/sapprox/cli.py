@@ -249,15 +249,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--output", help=f"override {name}.output")
-        p.add_argument("--format", help=f"override {name}.format")
-        p.add_argument("--workers", type=int, default=1,
-                       help="max parallel workers for replica blocks")
-        for flag, options in flags.items():
-            p.add_argument(flag, **options)
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config field")
+        try:
+            p.add_argument("--config", required=True, help="experiment JSON file")
+            p.add_argument("--output", help=f"override {name}.output")
+            p.add_argument("--format", help=f"override {name}.format")
+            p.add_argument("--workers", type=int, default=1,
+                           help="max parallel workers for replica blocks")
+            for flag, options in flags.items():
+                p.add_argument(flag, **options)
+            p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="KEY=VALUE", help="override a config field")
+        except (argparse.ArgumentError, TypeError, ValueError) as exc:
+            # every command's parser is built, so name the row at fault
+            raise ValueError(f"row {name!r} of cli._COMMANDS: {exc}") from exc
     sub.add_parser("selftest")
     return parser
 

@@ -29,7 +29,12 @@ Where the noise model's `fair_signs` says each draw is its value table at
 the step's sign bit, count_tail_hits sums a statistic affine in the noise
 (its `affine`: the weighted sum always, the recursion under linear drift) in
 closed form instead (_AffineTail, guarded by sum_error), with the hit counts
-of the sequential recurrence.
+of the sequential recurrence.  Past one sign word, and when the horizon's
+slack lies below its threshold, a screen decides most replicas first: two
+popcounts per word, one per 32-step half, times the half's mean weight,
+bound each replica's closed form within the slack, and only the replicas
+whose estimate lies within the slack of the threshold take the closed
+form's byte tables.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -136,10 +141,19 @@ class BlockStream:
     buffer, so a returned word is valid until the next call."""
 
     def __init__(self, seed: int, lo: int, hi: int):
-        self.width = hi - lo
-        self._keys = replica_keys_array(seed, lo, hi)
+        self._use(replica_keys_array(seed, lo, hi))
+
+    def _use(self, keys: np.ndarray) -> None:
+        self.width = len(keys)
+        self._keys = keys
         self._word = np.empty(self.width, dtype=np.uint64)
         self._sign_block = -1
+
+    def select(self, rows: np.ndarray) -> "BlockStream":
+        """The stream of the replicas at the given rows of this one."""
+        sub = BlockStream.__new__(BlockStream)
+        sub._use(self._keys[rows])
+        return sub
 
     def _hash(self, domain: int, j: int) -> np.ndarray:
         np.bitwise_xor(self._keys, np.uint64(_step_key(domain, j)), out=self._word)
@@ -545,10 +559,36 @@ class _AffineTail:
     |deviation| lies within guard of the threshold is recomputed by the
     scalar reference (bitwise the batch row), so hit counts equal the
     recurrence's exactly.
+
+    The screen.  Half h of the padded weights (steps 32h..32h+31, the low
+    32 bits of word h // 2 for even h and the high ones for odd h, read
+    little-endian) has the weight sum S_h, the mean m_h = fl(S_h) / 32 and
+    the popcount P_h of its sign bits.  With v0, v1 the values of a down and
+    an up step and D = v1 - v0, the closed form is exactly
+        M + v0 sum_h (S_h - 32 m_h) + D sum_h e_h,
+        M = base + sum_h (D m_h) P_h,   base = start + 32 v0 sum_h m_h,
+    where e_h = sum_{k in h} (w_k - m_h) bit_k, and |e_h| is at most the
+    larger of sum (w_k - m_h)^+ and sum (m_h - w_k)^+ over the half, its
+    padded zero weights included, since each bit is 0 or 1.  So the
+    computed closed form lies within `slack` - guard of the computed M:
+    |D| times the sum of those maxima, raised by sum_error(2 (H + 33), .)
+    for its own H + 33 roundings (H halves hold a step), plus sum_error of
+    8 words + 9 + 4 H + 40 terms on the guard's magnitude, which covers the
+    table sums (as in the guard), the sums S_h (32), the base (H + 1), the
+    coefficients D m_h (4: two roundings on at most twice the magnitude),
+    their products with P_h (2) and the H additions of M (3 H).  Hence
+    |recurrence - M| <= slack.  A replica with |M| - threshold > slack is a
+    hit, and one with threshold - |M| > slack a miss, under > and >= alike;
+    only the others, the open replicas, take the table sums and the guard
+    band, through a BlockStream of their own.  Forming the slack and
+    |M| - threshold rounds by at most 3 u slack, within the half of the
+    guard that |recurrence - closed form| leaves unused.  A horizon that
+    fits in one word, or whose slack is not below the threshold it is built
+    for, keeps the single pass and builds no screen.
     """
 
     def __init__(self, spec: ProblemSpec, target: str, n: int,
-                 error: Optional[float] = None):
+                 error: Optional[float] = None, threshold: Optional[float] = None):
         self.spec, self.n, self._stat = spec, n, _target(spec, target)
         beta0, w = recursion_weights(spec, n)
         self.words = n // 64 + 1
@@ -556,18 +596,38 @@ class _AffineTail:
         padded[: n + 1] = w
         self._word_weights = padded.reshape(self.words, 8, 8)
         self._columns = [min(8, (n - 64 * j) // 8 + 1) for j in range(self.words)]
-        self._byte_values = np.asarray(spec.noise.values)[_BYTE_BITS]
+        values = spec.noise.values
+        self._byte_values = np.asarray(values)[_BYTE_BITS]
         self.start = beta0 * (self._stat.start - self._stat.origin)
         magnitude = abs(self.start) + spec.noise.Ku * float(np.sum(np.abs(padded)))
         summation = sum_error(8 * self.words + 9, magnitude)
         if error is None:
             error = recurrence_error(spec, target, n)
         self.guard = 2.0 * (error + summation)
+        self.slack, self._half_coefs = math.inf, None
+        if self.words == 1:
+            return
+        halves = padded.reshape(-1, 32)[: n // 32 + 1]  # those that hold a step
+        means = np.sum(halves, axis=1) / 32.0
+        step = values[1] - values[0]
+        above = halves - means[:, None]
+        below = np.maximum(-above, 0.0)
+        np.maximum(above, 0.0, out=above)
+        spread = abs(step) * float(np.sum(np.maximum(np.sum(above, axis=1), np.sum(below, axis=1))))
+        spread += sum_error(2 * (len(halves) + 33), spread)
+        self.slack = self.guard + spread + sum_error(
+            8 * self.words + 9 + 4 * len(halves) + 40, magnitude)
+        if threshold is not None and self.slack < threshold:
+            self._base = self.start + 32.0 * values[0] * float(np.sum(means))
+            self._half_coefs = step * means
 
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi)."""
-        w = hi - lo
-        stream = BlockStream(seed, lo, hi)
+        return self._table_sum(BlockStream(seed, lo, hi))
+
+    def _table_sum(self, stream: BlockStream) -> np.ndarray:
+        """The closed-form final deviations of the replicas of stream."""
+        w = stream.width
         part = np.empty(w)
         dev = np.full(w, self.start)
         for j, columns in enumerate(self._columns):
@@ -579,12 +639,39 @@ class _AffineTail:
                 dev += part
         return dev
 
+    def _screen(self, stream: BlockStream) -> np.ndarray:
+        """M of the replicas of stream: the base plus, for each 32-step half
+        of each sign word, the half's coefficient times its popcount."""
+        w = stream.width
+        part, counts = np.empty(w), np.empty((2, w), dtype=np.uint8)
+        estimate = np.full(w, self._base)
+        for j in range(self.words):
+            # row g counts the steps 64j + 32g .. 64j + 32g + 31
+            halves = stream.sign_word(j).astype("<u8", copy=False).view("<u4").reshape(w, 2)
+            np.bitwise_count(halves.T, out=counts)
+            for row, coef in zip(counts, self._half_coefs[2 * j: 2 * j + 2]):
+                np.multiply(row, coef, out=part)
+                estimate += part
+        return estimate
+
     def hits(self, seed: int, lo: int, hi: int, threshold: float,
              inclusive: bool) -> int:
-        mags = np.abs(self.deviations(seed, lo, hi))
+        stream, rows, certain = BlockStream(seed, lo, hi), None, 0
+        if self._half_coefs is not None:
+            gap = np.abs(self._screen(stream))
+            gap -= threshold
+            certain = int(np.count_nonzero(gap > self.slack))
+            np.abs(gap, out=gap)
+            # the open replicas; a NaN stays open, so the table sum below raises
+            rows = np.flatnonzero(~(gap > self.slack))
+            if not rows.size:  # the byte tables would still be built for every word
+                return certain
+            stream = stream.select(rows)
+        mags = np.abs(self._table_sum(stream))
         for i in np.flatnonzero(np.abs(mags - threshold) <= self.guard):
-            mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, lo + int(i))[0])
-        return _count_beyond(mags, threshold, inclusive)
+            replica = lo + int(i if rows is None else rows[i])
+            mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
+        return certain + _count_beyond(mags, threshold, inclusive)
 
 
 def count_tail_hits(
@@ -685,7 +772,8 @@ def count_tail_hits_grid(
     ns, ts = [horizons[i] for i in live], [thresholds[i] for i in live]
     closed_forms = None
     if envelope is None and stat.affine and spec.noise.fair_signs:
-        closed_forms = [_AffineTail(spec, target, horizons[i], errors[i]) for i in live]
+        closed_forms = [_AffineTail(spec, target, horizons[i], errors[i], thresholds[i])
+                        for i in live]
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
 

@@ -82,6 +82,17 @@ def batch_final_deviations(spec, target: str, n: int, seed: int, replicas: int) 
         lambda rng: engine._run_block(spec, stat, (n,), seed, *rng)[0][0], replicas, 1))
 
 
+def closed_form_hits(form, target: str, seed: int, lo: int, hi: int,
+                     threshold: float, inclusive: bool) -> int:
+    """Tail hits of replicas [lo, hi) by the single closed-form pass, with no
+    screen: every replica's engine._AffineTail deviation, and each one within
+    the form's guard of the threshold replaced by engine.final_deviation."""
+    mags = np.abs(form.deviations(seed, lo, hi))
+    for i in np.flatnonzero(np.abs(mags - threshold) <= form.guard):
+        mags[i] = abs(engine.final_deviation(form.spec, target, form.n, seed, lo + int(i)))
+    return int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
+
+
 def h_asymptotic(b: float, c: float, n: int) -> float:
     """Large-n reference sqrt((-2c-1) * n) / b for weights.h_norm, the
     paper's normalizer limit.

@@ -716,3 +716,14 @@ class TestSelftestCommand:
             "engine.second_moment",
             "bounds.azuma_enumeration",
         ]
+
+
+class TestCommandTable:
+    def test_a_bad_row_is_named(self, monkeypatch):
+        import sapprox.cli as cli_mod
+
+        bad = {"--config": dict(help="a second --config")}
+        monkeypatch.setitem(cli_mod._COMMANDS, "bad", (cli_mod._cmd_rate, bad))
+        # every command's parser is built, so a good command meets the bad row
+        with pytest.raises(ValueError, match="row 'bad' of cli._COMMANDS: .*--config"):
+            main(["simulate", "--help"])

@@ -1,5 +1,5 @@
 """Pins of the closed-form counts' rounding guards, and of the byte order in
-which the Monte Carlo closed form reads sign words.
+which the Monte Carlo closed form and its screen read sign words.
 
 Each guard is built from engine.sum_error; the pins compare it bitwise with
 the guard written out term by term, as terms * 2^-53 * magnitude in that
@@ -104,6 +104,12 @@ def test_byte_swapped_sign_words_give_the_same_closed_form(monkeypatch):
         for n in NS:
             form = _AffineTail(spec, target, n)
             native = form.deviations(11, 0, 300)
+            # past one word the screen reads each word's two 32-step halves
+            t = float(np.median(np.abs(native))) + (form.slack if n >= 64 else 0.0)
+            screened = _AffineTail(spec, target, n, None, t)
+            assert (screened._half_coefs is not None) == (n >= 64)
+            hits = screened.hits(11, 0, 300, t, False)
             with monkeypatch.context() as patch:
                 patch.setattr(BlockStream, "sign_word", swapped)
                 assert np.array_equal(form.deviations(11, 0, 300), native), (spec, target, n)
+                assert screened.hits(11, 0, 300, t, False) == hits, (spec, target, n)
