@@ -14,6 +14,12 @@ parser is built from the table and main dispatches through it, so a new
 command is one row here and one in config._BLOCKS.  selftest reads no
 config and stays outside the table.
 
+A handler builds its rows, each a dict whose keys are the columns in
+order (rate's are mdp.TailEstimate's fields), and _write_table takes the
+columns from the first row; an optional footer, labelled in the first
+column, is the CSV's last line, and its other fields are keys of the JSON
+document.  So each column is named once, where its value is made.
+
 --output and --format override the command's config block (config <
 --set < flag) before config.parse_config checks it; mdp.oracle_tail decides
 which rows the exact oracle covers.  A --workers below 1 is reported as a
@@ -27,6 +33,7 @@ byte-identical across runs and worker counts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -91,8 +98,12 @@ def _write_atomic(path: Path, write) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _write_table(path: Path, fmt: str, command: str, columns: list[str],
-                 rows: list[dict], extra: Optional[dict] = None) -> None:
+def _write_table(path: Path, fmt: str, command: str, rows: list[dict],
+                 footer: Optional[dict] = None) -> None:
+    """rows as CSV or JSON, with the first row's keys as the columns.  The
+    footer's first-column value is its label: the CSV writes the footer as
+    its last line, the JSON document takes its other fields as keys."""
+    columns = list(rows[0])
     if fmt == "json":
         doc = {
             "schema_version": 1,
@@ -100,12 +111,12 @@ def _write_table(path: Path, fmt: str, command: str, columns: list[str],
             "columns": columns,
             "rows": [{k: _json_safe(v) for k, v in row.items()} for row in rows],
         }
-        if extra:
-            doc.update({k: _json_safe(v) for k, v in extra.items()})
+        if footer:
+            doc.update({k: _json_safe(v) for k, v in footer.items() if k != columns[0]})
         payload = json.dumps(doc, sort_keys=True) + "\n"
     else:
         lines = [",".join(columns)]
-        for row in rows:
+        for row in [*rows, footer] if footer else rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         payload = "\n".join(lines) + "\n"
     _write_atomic(path, lambda fh: fh.write(payload))
@@ -119,8 +130,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
         us = [None, *map(float, traj.us)]  # no noise enters X_0
         rows = [{"k": k, "x_k": float(x), "u_k": u}
                 for k, (x, u) in enumerate(zip(traj.xs, us))]
-        _write_table(Path(cfg.block["output"]), cfg.block["format"], "simulate",
-                     ["k", "x_k", "u_k"], rows)
+        _write_table(Path(cfg.block["output"]), cfg.block["format"], "simulate", rows)
         final_dev = traj.final_deviation
     else:
         final_dev = final_deviation(cfg.spec, "recursion", n, cfg.seed)
@@ -139,50 +149,36 @@ def _cmd_bound(cfg: ExperimentConfig, args) -> int:
               f"(probed to {choice.n_probe})", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    columns = [
-        "n", "epsilon", "delta", "bound", "paper_form",
-        "empirical", "ci_low", "ci_high", "replicas",
-    ]
     results = count_tail_hits_grid(
         cfg.spec, "recursion", n_grid, [epsilon] * len(n_grid), cfg.seed, replicas,
         inclusive=True, workers=args.workers,
     )
     rows = []
     for n, result in zip(n_grid, results):
-        bound_val = (
-            exp_inequality_bound(cfg.spec, epsilon, n, choice).value
-            if n >= choice.feasible_from
-            else None
-        )
-        paper_val = (
-            paper_form_bound(paper_c, epsilon, choice.delta, n)
-            if paper_c is not None
-            else None
-        )
         ci_low, ci_high = clopper_pearson(result.hits, replicas)
-        rows.append(dict(zip(columns, (
-            n, epsilon, choice.delta, bound_val, paper_val,
-            result.hits / replicas, ci_low, ci_high, replicas,
-        ))))
-    _write_table(Path(block["output"]), block["format"], "bound", columns, rows)
+        rows.append(dict(
+            n=n, epsilon=epsilon, delta=choice.delta,
+            bound=(exp_inequality_bound(cfg.spec, epsilon, n, choice).value
+                   if n >= choice.feasible_from else None),
+            paper_form=(paper_form_bound(paper_c, epsilon, choice.delta, n)
+                        if paper_c is not None else None),
+            empirical=result.hits / replicas, ci_low=ci_low, ci_high=ci_high,
+            replicas=replicas,
+        ))
+    _write_table(Path(block["output"]), block["format"], "bound", rows)
     return EXIT_OK
 
 
 def _cmd_rate(cfg: ExperimentConfig, args) -> int:
-    target, fmt = cfg.block["target"], cfg.block["format"]
-
-    curve = rate_curve(
+    target = cfg.block["target"]
+    points = rate_curve(
         target, cfg.spec, cfg.schedule, cfg.block["replicas"], cfg.seed,
         workers=args.workers,
     )
-    columns = [
-        "n", "b_n", "threshold", "replicas", "hits", "p_hat", "ci_low",
-        "ci_high", "rate", "gaussian_rate", "limit_rate",
-    ]
     oracle_failures = []
     uncovered = []
     rows = []
-    for pt in curve.points:
+    for pt in points:
         tail = oracle_tail(cfg.spec, target, pt.n, pt.threshold) if args.oracle else None
         if args.oracle and tail is None:
             uncovered.append(str(pt.n))
@@ -199,20 +195,13 @@ def _cmd_rate(cfg: ExperimentConfig, args) -> int:
                     f"n={pt.n}: hits={pt.hits} outside 99.9% band [{lo}, {hi}] "
                     f"around exact p={exact}"
                 )
-        rows.append(dict(zip(columns, (
-            pt.n, pt.b_n, pt.threshold, pt.replicas, pt.hits, pt.p_hat, pt.ci_low,
-            pt.ci_high, pt.rate, pt.reference_rate, curve.limit_rate,
-        ))))
+        rows.append(dataclasses.asdict(pt))
     if uncovered:
         # "oracle:" rather than "oracle ", which starts a per-row line
         print(f"oracle: rows n={', '.join(uncovered)} not covered")
-    if fmt != "json":
-        # footer row carrying the limit, marked in the n column
-        rows.append({"n": "limit", "limit_rate": curve.limit_rate})
-    _write_table(
-        Path(cfg.block["output"]), fmt, "rate", columns, rows,
-        extra={"limit_rate": curve.limit_rate},
-    )
+    # the limit, shared by every row, once more as the footer marked in n
+    _write_table(Path(cfg.block["output"]), cfg.block["format"], "rate", rows,
+                 footer={"n": "limit", "limit_rate": points[-1].limit_rate})
     if oracle_failures:
         print(f"oracle mismatch: {'; '.join(oracle_failures)}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -284,7 +284,9 @@ def _schedule(given: dict, block: dict, spec: Any, issues: list) -> Optional[Sch
 _format = _optional("csv", partial(_one_of, OUTPUT_FORMATS))
 
 # command -> (its block's fields, in order, each with its reader, and the
-# block's cross-field rule or None)
+# block's cross-field rule or None).  A rule's spec is as parse_config built
+# it: None when b or x0 failed, and holding a None drift or noise when that
+# model failed, so a rule tests the parts it reads
 _BLOCKS = {
     "simulate": ({"n": partial(_int, minimum=0), "record": _record,
                   "output": _output, "format": _format}, _unrecorded),

@@ -1,6 +1,8 @@
 """Moderate-deviation experiments: Monte Carlo tail estimation at speed
 b_n^2, exact small-horizon enumeration oracles, the exact Gaussian
 reference tail, and rate curves approaching -r^2 / (2 sigma^2).
+TailEstimate is the row of `sapprox rate`: its fields are the command's
+columns, in order, and rate_curve returns one per horizon.
 
 Both enumeration oracles count the sign patterns of the recurrence
 s_{k+1} = f_k s_k + xi_k a_k by one split count (_split_tail, Horowitz and
@@ -63,29 +65,29 @@ class Schedule:
     def b(self, n: int) -> float:
         return float(n) ** (1.0 / (2.0 * (1.0 + self.gamma)))
 
-    def limit_rate(self, sigma: float) -> float:
-        return -self.r * self.r / (2.0 * sigma * sigma)
-
 
 @dataclass(frozen=True)
 class TailEstimate:
     """Monte Carlo estimate of P(h_n |statistic| > r b_n) with exact 95%
-    binomial interval and the implied rate log(p_hat) / b_n^2.
+    binomial interval and the implied rate log(p_hat) / b_n^2: the row of
+    `sapprox rate`, whose columns are these fields in this order.
 
     rate is -inf when no replica hit (distinct from any numeric rate);
-    reference_rate is the exact Gaussian tail rate at the same (r, b_n).
+    gaussian_rate is the exact Gaussian tail rate at the same (r, b_n), and
+    limit_rate the MDP limit -r^2 / (2 sigma^2).
     """
 
     n: int
     b_n: float
     threshold: float
-    hits: int
     replicas: int
+    hits: int
     p_hat: float
     ci_low: float
     ci_high: float
     rate: float
-    reference_rate: float
+    gaussian_rate: float
+    limit_rate: float
 
 
 def clopper_pearson(hits: int, total: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -175,18 +177,20 @@ def estimate_tail(
     p_hat = result.hits / replicas
     ci_low, ci_high = clopper_pearson(result.hits, replicas)
     rate = -math.inf if result.hits == 0 else math.log(p_hat) / (b_n * b_n)
-    reference = gaussian_reference(r, b_n, spec.noise.sigma) if r > 0 else GaussianReference(1.0, 0.0)
+    sigma = spec.noise.sigma
+    reference = gaussian_reference(r, b_n, sigma) if r > 0 else GaussianReference(1.0, 0.0)
     return TailEstimate(
         n=n,
         b_n=b_n,
         threshold=threshold,
-        hits=result.hits,
         replicas=replicas,
+        hits=result.hits,
         p_hat=p_hat,
         ci_low=ci_low,
         ci_high=ci_high,
         rate=rate,
-        reference_rate=reference.rate,
+        gaussian_rate=reference.rate,
+        limit_rate=-r * r / (2.0 * sigma * sigma),
     )
 
 
@@ -347,12 +351,6 @@ def oracle_tail(spec: ProblemSpec, target: str, n: int, threshold: float) -> Opt
     return exact_tail_enumeration(spec, n, threshold)
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    points: tuple[TailEstimate, ...]
-    limit_rate: float
-
-
 def rate_curve(
     target: str,
     spec: ProblemSpec,
@@ -360,15 +358,15 @@ def rate_curve(
     replicas: int,
     seed: int,
     workers: int = 1,
-) -> RateCurve:
-    """One TailEstimate per grid horizon plus the limit -r^2/(2 sigma^2).
+) -> tuple[TailEstimate, ...]:
+    """One TailEstimate per grid horizon, each carrying the limit
+    -r^2/(2 sigma^2).
 
     -inf rates (zero hits) are reported as such, never dropped.
     """
-    points = tuple(
+    return tuple(
         estimate_tail(
             target, spec, n, schedule.r, schedule.b(n), replicas, seed, workers=workers
         )
         for n in schedule.n_grid
     )
-    return RateCurve(points=points, limit_rate=schedule.limit_rate(spec.noise.sigma))

@@ -214,9 +214,9 @@ def test_criterion_08_deviation_rate_tracking():
         for target, seed in (("recursion", 808), ("weighted_sum", 809)):
             # hit counts do not depend on workers (criterion 9 checks it)
             curve = rate_curve(target, spec, sched, 10**6, seed, workers=2)
-            for pt in curve.points:
+            for pt in curve:
                 assert pt.rate < 0.0, (target, pt)
-                g = pt.reference_rate
+                g = pt.gaussian_rate
                 b2 = pt.b_n * pt.b_n
                 rate_lo = (
                     -math.inf if pt.ci_low == 0.0 else math.log(pt.ci_low) / b2

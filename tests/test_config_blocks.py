@@ -246,6 +246,28 @@ def test_rate_regime_is_not_checked_without_a_drift(tmp_path, monkeypatch, capsy
         "config error: drift.kind: must be one of ('linear', 'sine_linear')\n")
 
 
+MODEL_FAILURES = {
+    "drift": ("drift.kind=cubic", "drift.kind: must be one of ('linear', 'sine_linear')"),
+    "noise": ("noise.kind=gauss",
+              "noise.kind: must be one of ('rademacher', 'two_point_adaptive')"),
+}
+
+
+# a rule gets the spec as parse_config built it, which may be None or hold
+# a None drift or noise; b and x0 stay valid here, so the spec is built
+@pytest.mark.parametrize("command", [name for name, (_, rule) in config._BLOCKS.items()
+                                     if rule is not None])
+@pytest.mark.parametrize("failed", [("drift",), ("noise",), ("drift", "noise")],
+                         ids="+".join)
+def test_rules_take_a_spec_whose_models_failed(tmp_path, monkeypatch, capsys, command,
+                                               failed):
+    sets = [arg for model in failed for arg in ("--set", MODEL_FAILURES[model][0])]
+    assert _run(tmp_path, monkeypatch, command, raw_config(), *sets) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"config error: {MODEL_FAILURES[model][1]}" for model in failed]
+
+
 def test_record_false_refuses_only_the_blocks_own_fields(tmp_path, monkeypatch, capsys):
     # a root key spelled like the block's field is an unknown root field
     raw = raw_config("simulate", {"record": False, "output": ABSENT})

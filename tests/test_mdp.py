@@ -59,8 +59,9 @@ class TestSchedule:
         assert sched.b(10**4) == pytest.approx(10.0**0.5, rel=1e-14)
 
     def test_limit_rates(self):
-        assert Schedule(3.0, (10,), 1.0).limit_rate(1.0) == -0.5
-        assert Schedule(3.0, (10,), 2.0).limit_rate(1.0) == -2.0
+        for r, limit in ((1.0, -0.5), (2.0, -2.0)):
+            row = rate_curve("weighted_sum", rad_spec(), Schedule(3.0, (10,), r), 100, 0)[0]
+            assert row.limit_rate == limit
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -514,24 +515,24 @@ class TestRateCurve:
         spec = rad_spec()
         sched = Schedule(gamma=3.0, n_grid=(20, 50, 120), r=1.0)
         curve = rate_curve("weighted_sum", spec, sched, 20000, 77)
-        assert [p.n for p in curve.points] == [20, 50, 120]
-        assert curve.limit_rate == -0.5
-        for p in curve.points:
+        assert [p.n for p in curve] == [20, 50, 120]
+        for p in curve:
+            assert p.limit_rate == -0.5
             assert p.b_n == pytest.approx(sched.b(p.n), rel=1e-14)
-            assert p.reference_rate == pytest.approx(
+            assert p.gaussian_rate == pytest.approx(
                 gaussian_reference(1.0, p.b_n, 1.0).rate, rel=1e-12
             )
 
     def test_limit_rate_scales(self):
         spec = rad_spec()
         sched = Schedule(gamma=3.0, n_grid=(20,), r=2.0)
-        assert rate_curve("weighted_sum", spec, sched, 100, 0).limit_rate == -2.0
+        assert rate_curve("weighted_sum", spec, sched, 100, 0)[0].limit_rate == -2.0
 
     def test_minus_inf_reported(self):
         spec = rad_spec()
         sched = Schedule(gamma=0.5, n_grid=(4,), r=50.0)
         curve = rate_curve("weighted_sum", spec, sched, 500, 1)
-        assert curve.points[0].rate == -math.inf
+        assert curve[0].rate == -math.inf
 
     def test_bit_identical_across_runs_and_workers(self):
         spec = rad_spec()
