@@ -10,9 +10,11 @@ Every drift is one law, g(x) = -c1 u - c2 sin u with u = x - x* and
 c1 > c2 >= 0, written once with its constants and its kernel; linear drift
 is the member with c2 = 0.
 
-Noise models are a two-point law per state, held as data: a value table
-whose conditional mean is 0 and conditional second moment sigma^2 in every
-state, with every value bounded by Ku, the largest magnitude in the table.
+Noise models are a finite chain held as data: a start state, an up
+probability per state, a two-point value table whose conditional mean is 0
+and conditional second moment sigma^2 in every state, and a next-state
+table.  Every value is bounded by Ku, the largest magnitude in the table,
+and one sampler pair, on the shared base, draws every kind from its table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 import numpy as np
 
@@ -126,21 +127,23 @@ class SineLinearDrift(_Drift):
             )
 
 
-DriftFunction = Union[LinearDrift, SineLinearDrift]
-
-
 @dataclass(frozen=True)
 class _Noise(_Model):
-    """A two-point law per state s: up with probability p = up_probability[s]
-    to sigma*sqrt((1-p)/p), else down to -sigma*sqrt(p/(1-p)), which gives
-    conditional mean 0 and conditional second moment sigma^2 in every state.
+    """A finite chain of two-point laws: from state s a draw goes up with
+    probability p = up_probability[s], to sigma*sqrt((1-p)/p), else down to
+    -sigma*sqrt(p/(1-p)), which gives conditional mean 0 and conditional
+    second moment sigma^2 in every state.
 
-    values[2*s + d] is the draw from state s going down (d = 0) or up
-    (d = 1).  Each kind's sampler(stream) and block_sampler(stream) pick d
-    from the stream and index this one table, so both give the same floats.
-    fair_signs (a class attribute) is true when every draw is values[sign
-    bit of its step], fair and independent of the past, as the closed-form
-    tail count and the enumeration oracle need.
+    Each kind's chain is class data (start_state, up_probability, values,
+    next_state).  The chain starts in start_state; values[2*s + d] is the
+    draw from state s going down (d = 0) or up (d = 1), and
+    next_state[2*s + d] the state after that draw.  sampler(stream) and
+    block_sampler(stream) read only this table, so scalar and block draws
+    are the same floats.  d is the step's uniform < up_probability[s],
+    except where fair_signs (a class attribute) holds: then the chain has
+    one state with p = 1/2, and d is the step's sign bit, so every draw is
+    fair and independent of the past, as the closed-form tail count and the
+    enumeration oracle need.
     """
 
     fair_signs = False
@@ -162,31 +165,62 @@ class _Noise(_Model):
         """The bound on |u|: the largest magnitude in the value table."""
         return max(abs(v) for v in self.values)
 
+    def sampler(self, stream):
+        """draw(k): the step-k value of a scalar engine.ReplicaStream."""
+        values, up, next_state = self.values, self.up_probability, self.next_state
+        if self.fair_signs:
+            return lambda k: values[stream.sign_bit(k)]
+        state = self.start_state
+
+        def draw(k: int) -> float:
+            nonlocal state
+            i = 2 * state + (stream.uniform(k) < up[state])
+            state = next_state[i]
+            return values[i]
+
+        return draw
+
+    def block_sampler(self, stream):
+        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
+        # indices are always in range, so "clip" only skips the bounds check
+        values = np.array(self.values)
+        d = np.empty(stream.width, dtype=np.int64)
+        if self.fair_signs:  # one state, never left: the draw is values[d]
+            def draw(k: int, out: np.ndarray) -> None:
+                stream.sign_bits(k, d)
+                np.take(values, d, out=out, mode="clip")
+
+            return draw
+        # row holds 2 s, so 2 s + d is one add and no step allocates: up is
+        # read by row (each p stored twice) and next_row holds 2 next_state
+        up = np.repeat(self.up_probability, 2)
+        next_row = 2 * np.array(self.next_state, dtype=np.int64)
+        row = np.full(stream.width, 2 * self.start_state, dtype=np.int64)
+        p = np.empty(stream.width)
+
+        def draw(k: int, out: np.ndarray) -> None:
+            nonlocal row, d
+            stream.uniforms(k, out)
+            np.take(up, row, out=p, mode="clip")
+            np.less(out, p, out=d)
+            row += d
+            np.take(values, row, out=out, mode="clip")
+            np.take(next_row, row, out=d, mode="clip")
+            row, d = d, row
+
+        return draw
+
 
 @dataclass(frozen=True)
 class Rademacher(_Noise):
     """u = +sigma or -sigma with probability 1/2 each, independent of the
-    past: one state, going up when the step's sign bit is set."""
+    past: one state, never left, going up when the step's sign bit is set."""
 
     kind = "rademacher"
-    up_probability = (0.5,)
     fair_signs = True
-
-    def sampler(self, stream):
-        """draw(k): the step-k value of a scalar engine.ReplicaStream."""
-        values = self.values
-        return lambda k: values[stream.sign_bit(k)]
-
-    def block_sampler(self, stream):
-        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
-        values = np.array(self.values)
-        bits = np.empty(stream.width, dtype=np.int64)
-
-        def draw(k: int, out: np.ndarray) -> None:
-            stream.sign_bits(k, bits)
-            np.take(values, bits, out=out, mode="clip")  # bits are 0 or 1: nothing to clip
-
-        return draw
+    start_state = 0
+    up_probability = (0.5,)
+    next_state = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -195,11 +229,14 @@ class TwoPointAdaptive(_Noise):
     up when the step's uniform is below it.
 
     The rule is mean-reverting: state 0 (the last draw went down) goes up
-    with p_max, state 1 (it went up) with p_min and state 2 (no draw yet)
-    with the midpoint.  The next state is d, so draws come in step order.
+    with p_max, state 1 (it went up) with p_min and state 2 (no draw yet,
+    the start) with the midpoint.  The next state is d, so draws come in
+    step order.
     """
 
     kind = "two_point_adaptive"
+    start_state = 2
+    next_state = (0, 1) * 3
 
     p_min: float
     p_max: float
@@ -218,43 +255,6 @@ class TwoPointAdaptive(_Noise):
     def up_probability(self) -> tuple[float, float, float]:
         return (self.p_max, self.p_min, 0.5 * (self.p_min + self.p_max))
 
-    def sampler(self, stream):
-        """draw(k): the step-k value of a scalar engine.ReplicaStream."""
-        values, up = self.values, self.up_probability
-        state = 2
-
-        def draw(k: int) -> float:
-            nonlocal state
-            i = 2 * state + (stream.uniform(k) < up[state])
-            state = i & 1
-            return values[i]
-
-        return draw
-
-    def block_sampler(self, stream):
-        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
-        # (u < p) is both the step's d and the next state, so no step allocates
-        up = np.array(self.up_probability)
-        values = np.array(self.values)
-        state = np.full(stream.width, 2, dtype=np.intp)
-        went_up = np.empty_like(state)
-        p = np.empty(stream.width)
-
-        def draw(k: int, out: np.ndarray) -> None:
-            nonlocal state, went_up
-            stream.uniforms(k, out)
-            # indices are always in range, so "clip" only skips the bounds check
-            np.take(up, state, out=p, mode="clip")
-            np.less(out, p, out=went_up)
-            state += state
-            state += went_up
-            np.take(values, state, out=out, mode="clip")
-            state, went_up = went_up, state
-
-        return draw
-
-
-NoiseModel = Union[Rademacher, TwoPointAdaptive]
 
 DRIFTS = {cls.kind: cls for cls in (LinearDrift, SineLinearDrift)}
 NOISES = {cls.kind: cls for cls in (Rademacher, TwoPointAdaptive)}
@@ -264,8 +264,8 @@ NOISES = {cls.kind: cls for cls in (Rademacher, TwoPointAdaptive)}
 class ProblemSpec:
     """A drift, a noise model, the gain b and the start point x0."""
 
-    drift: DriftFunction
-    noise: NoiseModel
+    drift: _Drift
+    noise: _Noise
     b: float
     x0: float
 

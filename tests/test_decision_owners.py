@@ -6,6 +6,8 @@
   replaced, written out here in their old operation order.
 - The noise model says when a closed form applies (`fair_signs`), so
   sapprox.engine and sapprox.mdp import no drift or noise class.
+- A noise kind is its chain table: the one sampler pair on the shared base
+  reads it, and no kind draws for itself.
 - An argument is checked by the function that uses it: the checks that a
   caller used to repeat still fire, with the same message.
 """
@@ -14,6 +16,7 @@ import ast
 import itertools
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -240,3 +243,11 @@ def test_fair_signs_is_a_class_attribute_of_rademacher_only():
         "rademacher": True, "two_point_adaptive": False}
     # not a dataclass field: describe(), fingerprints and configs are unchanged
     assert Rademacher(1.0).describe() == {"kind": "rademacher", "sigma": 1.0}
+
+
+def test_noise_kinds_are_tables_drawn_by_one_sampler_pair():
+    for kind, cls in model.NOISES.items():
+        assert not {"sampler", "block_sampler"} & vars(cls).keys(), kind
+        # class data, not dataclass fields: describe() and fingerprints keep
+        # naming the parameters only
+        assert not {"start_state", "next_state"} & {f.name for f in fields(cls)}, kind

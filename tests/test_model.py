@@ -9,6 +9,7 @@ from references import batch_final_deviations, drift_condition_failures
 
 from sapprox.engine import BlockStream, ReplicaStream
 from sapprox.model import (
+    NOISES,
     LinearDrift,
     ProblemSpec,
     Rademacher,
@@ -282,6 +283,54 @@ class TestSampleNoise:
         # crude sanity: no NaN, no runaway magnitudes
         assert np.all(np.isfinite(devs))
         assert np.max(np.abs(devs)) <= spec.b * ku * 10
+
+
+def chain_draws(noise, seed, replica, steps=130):
+    """The draws of one replica, walked through the noise's chain table from
+    its start state, with d read from a stream of its own."""
+    stream = ReplicaStream(seed, replica)
+    s, draws = noise.start_state, []
+    for k in range(steps):
+        if noise.fair_signs:
+            d = stream.sign_bit(k)
+        else:
+            d = int(stream.uniform(k) < noise.up_probability[s])
+        draws.append(noise.values[2 * s + d])
+        s = noise.next_state[2 * s + d]
+    return draws
+
+
+class TestNoiseChain:
+    @pytest.mark.parametrize("kind", sorted(NOISES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_table_shape(self, kind, data):
+        noise = data.draw(NOISE_MODELS[kind])
+        assert type(noise) is NOISES[kind]
+        states = range(len(noise.up_probability))
+        assert len(noise.values) == len(noise.next_state) == 2 * len(states)
+        assert all(type(s) is int and s in states
+                   for s in (noise.start_state, *noise.next_state))
+        if noise.fair_signs:
+            # one state, never left, with p = 1/2: what the closed-form tail
+            # count and the split-count oracle assume of a sign bit
+            assert noise.up_probability == (0.5,) and noise.next_state == (0, 0)
+
+    @pytest.mark.parametrize("kind", sorted(NOISES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_draws_walk_the_chain(self, kind, data):
+        noise = data.draw(NOISE_MODELS[kind])
+        seed, lo = data.draw(st.integers(0, 2**64 - 1)), 5
+        draw = noise.sampler(ReplicaStream(seed, lo))
+        assert [draw(k) for k in range(130)] == chain_draws(noise, seed, lo), noise
+        for width in (1, 37):
+            block = noise.block_sampler(BlockStream(seed, lo, lo + width))
+            want = np.array([chain_draws(noise, seed, lo + i) for i in range(width)])
+            out = np.empty(width)
+            for k in range(130):  # past two 64-step sign words
+                block(k, out)
+                assert np.array_equal(out, want[:, k]), (noise, width, k)
 
 
 class TestProblemSpec:
