@@ -17,9 +17,9 @@ separates the two draw kinds:
   * Uniform at step k: the top 53 bits of z(i, k; D_UNIF) scaled to [0, 1).
 
 The scalar ReplicaStream and its block twin BlockStream hand out the same
-bits and uniforms, and the one scalar and block sampler pair of sapprox.model
-maps them to draws through the noise's chain table (start_state,
-up_probability, values, next_state).  Each target (TARGETS) is
+bits and uniforms, and a noise model's scalar and block samplers
+(sapprox.model) map them to the same draws through its chain table
+(start_state, up_probability, values, next_state).  Each target (TARGETS) is
 one kernel for floats and arrays, x + a_k (g(x) + u) for the recursion and
 f_k s + a_k u for the weighted sum, on the factors of
 weights.recurrence_factors.  final_deviation (one replica), simulate (its

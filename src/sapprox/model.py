@@ -13,8 +13,9 @@ is the member with c2 = 0.
 Noise models are a finite chain held as data: a start state, an up
 probability per state, a two-point value table whose conditional mean is 0
 and conditional second moment sigma^2 in every state, and a next-state
-table.  Every value is bounded by Ku, the largest magnitude in the table,
-and one sampler pair, on the shared base, draws every kind from its table.
+table.  Every value is bounded by Ku, the largest magnitude in the table.
+One scalar sampler, on the shared base, draws every kind from its table;
+each kind's block sampler draws the same floats.
 """
 
 from __future__ import annotations
@@ -137,16 +138,21 @@ class _Noise(_Model):
     Each kind's chain is class data (start_state, up_probability, values,
     next_state).  The chain starts in start_state; values[2*s + d] is the
     draw from state s going down (d = 0) or up (d = 1), and
-    next_state[2*s + d] the state after that draw.  sampler(stream) and
-    block_sampler(stream) read only this table, so scalar and block draws
-    are the same floats.  d is the step's uniform < up_probability[s],
-    except where fair_signs (a class attribute) holds: then the chain has
-    one state with p = 1/2, and d is the step's sign bit, so every draw is
-    fair and independent of the past, as the closed-form tail count and the
+    next_state[2*s + d] the state after that draw; the defaults are the
+    one-state chain.  d is the step's uniform < up_probability[s], except
+    where fair_signs (a class attribute) holds: then the chain has one state
+    with p = 1/2, and d is the step's sign bit, so every draw is fair and
+    independent of the past, as the closed-form tail count and the
     enumeration oracle need.
+
+    sampler(stream), here, reads only this table.  Each kind's
+    block_sampler(stream) draws the same floats with the fewest array passes
+    its chain allows: a gather of next_state per step would cost one more.
     """
 
     fair_signs = False
+    start_state = 0
+    next_state = (0, 0)
 
     sigma: float
 
@@ -167,10 +173,10 @@ class _Noise(_Model):
 
     def sampler(self, stream):
         """draw(k): the step-k value of a scalar engine.ReplicaStream."""
-        values, up, next_state = self.values, self.up_probability, self.next_state
-        if self.fair_signs:
+        values = self.values
+        if self.fair_signs:  # one state, never left
             return lambda k: values[stream.sign_bit(k)]
-        state = self.start_state
+        up, next_state, state = self.up_probability, self.next_state, self.start_state
 
         def draw(k: int) -> float:
             nonlocal state
@@ -180,47 +186,26 @@ class _Noise(_Model):
 
         return draw
 
-    def block_sampler(self, stream):
-        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
-        # indices are always in range, so "clip" only skips the bounds check
-        values = np.array(self.values)
-        d = np.empty(stream.width, dtype=np.int64)
-        if self.fair_signs:  # one state, never left: the draw is values[d]
-            def draw(k: int, out: np.ndarray) -> None:
-                stream.sign_bits(k, d)
-                np.take(values, d, out=out, mode="clip")
-
-            return draw
-        # row holds 2 s, so 2 s + d is one add and no step allocates: up is
-        # read by row (each p stored twice) and next_row holds 2 next_state
-        up = np.repeat(self.up_probability, 2)
-        next_row = 2 * np.array(self.next_state, dtype=np.int64)
-        row = np.full(stream.width, 2 * self.start_state, dtype=np.int64)
-        p = np.empty(stream.width)
-
-        def draw(k: int, out: np.ndarray) -> None:
-            nonlocal row, d
-            stream.uniforms(k, out)
-            np.take(up, row, out=p, mode="clip")
-            np.less(out, p, out=d)
-            row += d
-            np.take(values, row, out=out, mode="clip")
-            np.take(next_row, row, out=d, mode="clip")
-            row, d = d, row
-
-        return draw
-
 
 @dataclass(frozen=True)
 class Rademacher(_Noise):
     """u = +sigma or -sigma with probability 1/2 each, independent of the
-    past: one state, never left, going up when the step's sign bit is set."""
+    past: the one-state chain, going up when the step's sign bit is set."""
 
     kind = "rademacher"
     fair_signs = True
-    start_state = 0
     up_probability = (0.5,)
-    next_state = (0, 0)
+
+    def block_sampler(self, stream):
+        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
+        values = np.array(self.values)
+        bits = np.empty(stream.width, dtype=np.int64)
+
+        def draw(k: int, out: np.ndarray) -> None:
+            stream.sign_bits(k, bits)
+            np.take(values, bits, out=out, mode="clip")  # bits are 0 or 1: nothing to clip
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -254,6 +239,29 @@ class TwoPointAdaptive(_Noise):
     @property
     def up_probability(self) -> tuple[float, float, float]:
         return (self.p_max, self.p_min, 0.5 * (self.p_min + self.p_max))
+
+    def block_sampler(self, stream):
+        """draw(k, out): the step-k values of an engine.BlockStream, into out."""
+        # the next state is d, so (u < p) is both the step's d and the next
+        # state: no step gathers next_state or allocates
+        up = np.array(self.up_probability)
+        values = np.array(self.values)
+        state = np.full(stream.width, self.start_state, dtype=np.intp)
+        went_up = np.empty_like(state)
+        p = np.empty(stream.width)
+
+        def draw(k: int, out: np.ndarray) -> None:
+            nonlocal state, went_up
+            stream.uniforms(k, out)
+            # indices are always in range, so "clip" only skips the bounds check
+            np.take(up, state, out=p, mode="clip")
+            np.less(out, p, out=went_up)
+            state += state
+            state += went_up
+            np.take(values, state, out=out, mode="clip")
+            state, went_up = went_up, state
+
+        return draw
 
 
 DRIFTS = {cls.kind: cls for cls in (LinearDrift, SineLinearDrift)}

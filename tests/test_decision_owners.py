@@ -6,8 +6,8 @@
   replaced, written out here in their old operation order.
 - The noise model says when a closed form applies (`fair_signs`), so
   sapprox.engine and sapprox.mdp import no drift or noise class.
-- A noise kind is its chain table: the one sampler pair on the shared base
-  reads it, and no kind draws for itself.
+- A noise kind is its chain table: the one scalar sampler on the shared
+  base reads it, and no kind draws scalars for itself.
 - An argument is checked by the function that uses it: the checks that a
   caller used to repeat still fire, with the same message.
 """
@@ -245,9 +245,9 @@ def test_fair_signs_is_a_class_attribute_of_rademacher_only():
     assert Rademacher(1.0).describe() == {"kind": "rademacher", "sigma": 1.0}
 
 
-def test_noise_kinds_are_tables_drawn_by_one_sampler_pair():
+def test_noise_kinds_are_tables_drawn_by_one_scalar_sampler():
     for kind, cls in model.NOISES.items():
-        assert not {"sampler", "block_sampler"} & vars(cls).keys(), kind
+        assert "sampler" not in vars(cls), kind
         # class data, not dataclass fields: describe() and fingerprints keep
         # naming the parameters only
         assert not {"start_state", "next_state"} & {f.name for f in fields(cls)}, kind
