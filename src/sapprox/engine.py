@@ -32,10 +32,12 @@ the step's sign bit, count_tail_hits sums a statistic affine in the noise
 closed form instead (_AffineTail, guarded by sum_error), with the hit counts
 of the sequential recurrence.  Past one sign word, and when the horizon's
 slack lies below its threshold, a screen decides most replicas first: two
-popcounts per word, one per 32-step half, times the half's mean weight,
-bound each replica's closed form within the slack, and only the replicas
-whose estimate lies within the slack of the threshold take the closed
-form's byte tables.
+popcounts per word, one per 32-step half (the last word's bits past step n
+cleared), times the half's mean weight over its own steps, bound each
+replica's closed form within the slack.  The replicas whose estimate lies
+within the slack of the threshold stay open; after every block is
+screened, the open replicas of all blocks take the closed form's byte
+tables together, in full-width chunks of a stream over their indices.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -107,11 +109,11 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def replica_keys_array(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Vector of replica_key(seed, i) for i in [lo, hi)."""
+def replica_keys_array(seed: int, replicas: np.ndarray) -> np.ndarray:
+    """Vector of replica_key(seed, i) for each replica index i of the
+    integer array replicas."""
     base = np.uint64(_mix64(seed & _MASK))
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    z = np.bitwise_xor(base, idx * np.uint64(_GOLDEN))
+    z = np.bitwise_xor(base, replicas.astype(np.uint64, copy=False) * np.uint64(_GOLDEN))
     return _mix64_array(z)
 
 
@@ -137,24 +139,26 @@ class ReplicaStream:
 
 
 class BlockStream:
-    """ReplicaStream of every replica in [lo, hi) at once: element i of each
-    draw is the draw of replica lo + i.  Hash words are computed into one
-    buffer, so a returned word is valid until the next call."""
+    """ReplicaStream of every replica in [lo, hi) at once, or (over) of the
+    given replicas: element i of each draw is the draw of replica
+    replicas[i].  Hash words are computed into one buffer, so a returned
+    word is valid until the next call."""
 
     def __init__(self, seed: int, lo: int, hi: int):
-        self._use(replica_keys_array(seed, lo, hi))
+        self._use(replica_keys_array(seed, np.arange(lo, hi, dtype=np.uint64)), range(lo, hi))
 
-    def _use(self, keys: np.ndarray) -> None:
-        self.width = len(keys)
+    @classmethod
+    def over(cls, seed: int, replicas: np.ndarray) -> "BlockStream":
+        """The stream of the replicas of an index array."""
+        stream = cls.__new__(cls)
+        stream._use(replica_keys_array(seed, replicas), replicas)
+        return stream
+
+    def _use(self, keys: np.ndarray, replicas) -> None:
+        self.width, self.replicas = len(keys), replicas
         self._keys = keys
         self._word = np.empty(self.width, dtype=np.uint64)
         self._sign_block = -1
-
-    def select(self, rows: np.ndarray) -> "BlockStream":
-        """The stream of the replicas at the given rows of this one."""
-        sub = BlockStream.__new__(BlockStream)
-        sub._use(self._keys[rows])
-        return sub
 
     def _hash(self, domain: int, j: int) -> np.ndarray:
         np.bitwise_xor(self._keys, np.uint64(_step_key(domain, j)), out=self._word)
@@ -561,31 +565,43 @@ class _AffineTail:
     scalar reference (bitwise the batch row), so hit counts equal the
     recurrence's exactly.
 
-    The screen.  Half h of the padded weights (steps 32h..32h+31, the low
-    32 bits of word h // 2 for even h and the high ones for odd h, read
-    little-endian) has the weight sum S_h, the mean m_h = fl(S_h) / 32 and
-    the popcount P_h of its sign bits.  With v0, v1 the values of a down and
-    an up step and D = v1 - v0, the closed form is exactly
-        M + v0 sum_h (S_h - 32 m_h) + D sum_h e_h,
-        M = base + sum_h (D m_h) P_h,   base = start + 32 v0 sum_h m_h,
-    where e_h = sum_{k in h} (w_k - m_h) bit_k, and |e_h| is at most the
-    larger of sum (w_k - m_h)^+ and sum (m_h - w_k)^+ over the half, its
-    padded zero weights included, since each bit is 0 or 1.  So the
-    computed closed form lies within `slack` - guard of the computed M:
-    |D| times the sum of those maxima, raised by sum_error(2 (H + 33), .)
-    for its own H + 33 roundings (H halves hold a step), plus sum_error of
-    8 words + 9 + 4 H + 40 terms on the guard's magnitude, which covers the
-    table sums (as in the guard), the sums S_h (32), the base (H + 1), the
-    coefficients D m_h (4: two roundings on at most twice the magnitude),
-    their products with P_h (2) and the H additions of M (3 H).  Hence
-    |recurrence - M| <= slack.  A replica with |M| - threshold > slack is a
-    hit, and one with threshold - |M| > slack a miss, under > and >= alike;
-    only the others, the open replicas, take the table sums and the guard
-    band, through a BlockStream of their own.  Forming the slack and
-    |M| - threshold rounds by at most 3 u slack, within the half of the
-    guard that |recurrence - closed form| leaves unused.  A horizon that
-    fits in one word, or whose slack is not below the threshold it is built
-    for, keeps the single pass and builds no screen.
+    The screen.  Half h of the weights (steps 32h..32h+31, the low 32 bits
+    of word h // 2 for even h and the high ones for odd h, read
+    little-endian) holds c_h = min(32, n + 1 - 32h) steps, the weight sum
+    S_h, the mean m_h = fl(S_h) / c_h and the popcount P_h of its sign
+    bits, where the last word's bits past step n are cleared first, so
+    P_h <= c_h.  With v0, v1 the values of a down and an up step and
+    D = v1 - v0, the closed form is exactly
+        M + v0 sum_h (S_h - fl(S_h)) + D sum_h e_h,
+        M = base + sum_h (D m_h) P_h,   base = start + v0 sum_h c_h m_h,
+    with each c_h m_h taken as fl(S_h), the float that m_h divides, and
+    e_h = sum_{k in h} (w_k - m_h) bit_k over the half's c_h steps.  The
+    identity holds for every m_h, so the division's rounding (a last half's
+    c_h need not be a power of two) adds no term: it only moves m_h, and
+    the spread is built from the m_h computed.
+    |e_h| is at most the larger of sum (w_k - m_h)^+ and sum (m_h - w_k)^+
+    over the half's steps, since each bit is 0 or 1.  So the computed
+    closed form lies within `slack` - guard of the computed M: |D| times
+    the sum of those maxima, raised by sum_error(2 (H + 33), .) for its own
+    H + 33 roundings (H halves hold a step), plus sum_error of 8 words + 9
+    + 4 H + 40 terms on the guard's magnitude, which covers the table sums
+    (as in the guard), the sums S_h (32), the base (H + 1), the
+    coefficients D m_h (4: two roundings on at most twice the magnitude,
+    as P_h |m_h| <= c_h |m_h| is |fl(S_h)| to a rounding), their products
+    with P_h (2) and the H additions of M (3 H).  Hence |recurrence - M| <=
+    slack.  A replica with |M| - threshold > slack is a hit, and one with
+    threshold - |M| > slack a miss, under > and >= alike.  Forming the
+    slack and |M| - threshold rounds by at most 3 u slack, within the half
+    of the guard that |recurrence - closed form| leaves unused.  A horizon
+    that fits in one word, or whose slack is not below the threshold it is
+    built for, keeps the single pass and builds no screen.
+
+    The count (hits).  Each block of BLOCK replicas is screened, or with no
+    screen summed whole, on up to `workers` threads.  The screen leaves
+    the global indices of its open replicas (those it does not decide),
+    and then the open replicas of every block take the table sums and the
+    guard band together, BLOCK at a time (BlockStream.over), so that a few
+    open replicas per block do not each pay a block's table pass.
     """
 
     def __init__(self, spec: ProblemSpec, target: str, n: int,
@@ -609,9 +625,11 @@ class _AffineTail:
         if self.words == 1:
             return
         halves = padded.reshape(-1, 32)[: n // 32 + 1]  # those that hold a step
-        means = np.sum(halves, axis=1) / 32.0
+        sums = np.sum(halves, axis=1)
+        means = sums / np.minimum(n + 1 - 32.0 * np.arange(len(halves)), 32.0)
         step = values[1] - values[0]
         above = halves - means[:, None]
+        above.reshape(-1)[n + 1:] = 0.0  # the last half's padding holds no step
         below = np.maximum(-above, 0.0)
         np.maximum(above, 0.0, out=above)
         spread = abs(step) * float(np.sum(np.maximum(np.sum(above, axis=1), np.sum(below, axis=1))))
@@ -619,8 +637,10 @@ class _AffineTail:
         self.slack = self.guard + spread + sum_error(
             8 * self.words + 9 + 4 * len(halves) + 40, magnitude)
         if threshold is not None and self.slack < threshold:
-            self._base = self.start + 32.0 * values[0] * float(np.sum(means))
+            self._base = self.start + values[0] * float(np.sum(sums))
             self._half_coefs = step * means
+            # the steps 64 (words - 1) .. n of the last word
+            self._last_bits = np.uint64((1 << (n % 64 + 1)) - 1)
 
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi)."""
@@ -647,32 +667,54 @@ class _AffineTail:
         part, counts = np.empty(w), np.empty((2, w), dtype=np.uint8)
         estimate = np.full(w, self._base)
         for j in range(self.words):
+            word = stream.sign_word(j)
+            if j == self.words - 1:  # into part, which is free until counted
+                word = np.bitwise_and(word, self._last_bits, out=part.view(np.uint64))
             # row g counts the steps 64j + 32g .. 64j + 32g + 31
-            halves = stream.sign_word(j).astype("<u8", copy=False).view("<u4").reshape(w, 2)
+            halves = word.astype("<u8", copy=False).view("<u4").reshape(w, 2)
             np.bitwise_count(halves.T, out=counts)
             for row, coef in zip(counts, self._half_coefs[2 * j: 2 * j + 2]):
                 np.multiply(row, coef, out=part)
                 estimate += part
         return estimate
 
-    def hits(self, seed: int, lo: int, hi: int, threshold: float,
-             inclusive: bool) -> int:
-        stream, rows, certain = BlockStream(seed, lo, hi), None, 0
-        if self._half_coefs is not None:
-            gap = np.abs(self._screen(stream))
-            gap -= threshold
-            certain = int(np.count_nonzero(gap > self.slack))
-            np.abs(gap, out=gap)
-            # the open replicas; a NaN stays open, so the table sum below raises
-            rows = np.flatnonzero(~(gap > self.slack))
-            if not rows.size:  # the byte tables would still be built for every word
-                return certain
-            stream = stream.select(rows)
+    def _sift(self, seed: int, lo: int, hi: int, threshold: float,
+              inclusive: bool) -> tuple[int, np.ndarray]:
+        """(hits decided, global indices of the replicas left open) of the
+        block [lo, hi): the screen's certain hits and open replicas, or with
+        no screen the single pass's hits and none open."""
+        if self._half_coefs is None:
+            return self._settle(seed, BlockStream(seed, lo, hi), threshold, inclusive), np.arange(0)
+        gap = np.abs(self._screen(BlockStream(seed, lo, hi)))
+        gap -= threshold
+        certain = int(np.count_nonzero(gap > self.slack))
+        np.abs(gap, out=gap)
+        # a NaN stays open, so the table sum of _settle raises
+        return certain, lo + np.flatnonzero(~(gap > self.slack))
+
+    def _settle(self, seed: int, stream: BlockStream, threshold: float,
+                inclusive: bool) -> int:
+        """Hits among the replicas of stream by the table sums, each one
+        within the guard of the threshold recomputed by the scalar
+        reference at its global index."""
         mags = np.abs(self._table_sum(stream))
         for i in np.flatnonzero(np.abs(mags - threshold) <= self.guard):
-            replica = lo + int(i if rows is None else rows[i])
+            replica = int(stream.replicas[i])
             mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
-        return certain + _count_beyond(mags, threshold, inclusive)
+        return _count_beyond(mags, threshold, inclusive)
+
+    def hits(self, seed: int, lo: int, hi: int, threshold: float, inclusive: bool,
+             workers: int = 1) -> int:
+        """Tail hits of replicas [lo, hi), blocks from lo on, on up to
+        `workers` threads: each block sifted, then every open replica
+        settled, a full-width chunk at a time."""
+        parts = _map_blocks(lambda rng: self._sift(seed, lo + rng[0], lo + rng[1], threshold, inclusive),
+                            hi - lo, workers)
+        open_ = np.concatenate([rows for _, rows in parts])
+        settled = _map_blocks(
+            lambda rng: self._settle(seed, BlockStream.over(seed, open_[rng[0]: rng[1]]), threshold, inclusive),
+            len(open_), workers)
+        return sum(certain for certain, _ in parts) + sum(settled)
 
 
 def count_tail_hits(
@@ -721,7 +763,9 @@ def count_tail_hits_grid(
     each replica block is stepped once to the last horizon it counts and
     counted at every horizon on the way.  Envelope violations of result i
     are those through step horizons[i].  The closed form shares nothing
-    across horizons (its weights depend on n) and is evaluated per horizon.
+    across horizons (its weights depend on n) and counts each horizon on
+    its own: its blocks screened, then their open replicas settled
+    together (_AffineTail.hits).
 
     Settled horizons.  Without an envelope, a horizon n whose threshold
     lies beyond its reach B_{n+1} + E_{n+1} (_Reach: the statistic's
@@ -778,12 +822,14 @@ def count_tail_hits_grid(
         if not all(math.isfinite(form.guard) for form in closed_forms):
             closed_forms = None  # overflowing weights: only the recurrence is usable
 
+    if closed_forms is not None:
+        for i, form, t in zip(live, closed_forms, ts):
+            results[i] = BatchResult(hits=form.hits(seed, 0, replicas, t, inclusive, workers),
+                                     envelope_violations=0)
+        return tuple(results)
+
     def one(rng: tuple[int, int]) -> list[tuple[int, int]]:
-        lo, hi = rng
-        if closed_forms is not None:
-            return [(form.hits(seed, lo, hi, t, inclusive), 0)
-                    for form, t in zip(closed_forms, ts)]
-        rows = _run_block(spec, stat, ns, seed, lo, hi, envelope)
+        rows = _run_block(spec, stat, ns, seed, *rng, envelope)
         return [(_count_beyond(np.abs(devs), t, inclusive), violations)
                 for (devs, violations), t in zip(rows, ts)]
 

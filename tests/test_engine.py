@@ -87,9 +87,22 @@ def test_every_public_name_is_used_in_src():
 
 class TestStreams:
     def test_scalar_matches_vector_keys(self):
-        keys = replica_keys_array(42, 0, 64)
+        keys = replica_keys_array(42, np.arange(64))
         for i in (0, 1, 17, 63):
             assert int(keys[i]) == replica_key(42, i)
+        # any replica indices, in any order
+        replicas = [5, 2**40 + 3, 0, 70000]
+        keys = replica_keys_array(42, np.array(replicas))
+        assert keys.tolist() == [replica_key(42, i) for i in replicas]
+
+    def test_a_stream_over_given_replicas_is_theirs(self):
+        replicas = [70, 3, 41, 40]
+        stream = BlockStream.over(11, np.array(replicas))
+        bits = np.empty(4, dtype=np.int64)
+        for k in (0, 63, 200):
+            stream.sign_bits(k, bits)
+            assert bits.tolist() == [ReplicaStream(11, i).sign_bit(k) for i in replicas]
+        assert list(stream.replicas) == replicas and list(BlockStream(11, 40, 44).replicas) == [40, 41, 42, 43]
 
     def test_uniforms_in_range(self):
         st = ReplicaStream(7, 3)
@@ -375,8 +388,9 @@ class TestModelKernels:
 
 def reference_two_point_sampler(noise, stream):
     """The two-point block sampler as a state-table gather plus np.where,
-    from the law spelled out in p, kept as the reference for the
-    index-free TwoPointAdaptive.block_sampler."""
+    from the law spelled out in p, kept as the reference for
+    TwoPointAdaptive.block_sampler, which gathers from its own tables with
+    np.take."""
     # indexed by state 0 (no draw yet), 1 (last draw up) and -1 (the last
     # entry: last draw down)
     p_table = np.array([0.5 * (noise.p_min + noise.p_max), noise.p_min, noise.p_max])

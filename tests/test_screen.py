@@ -16,7 +16,7 @@ from references import closed_form_hits
 from test_rounding_guards import CASES as GUARD_CASES
 
 from sapprox import engine
-from sapprox.engine import BlockStream, _AffineTail, final_deviation
+from sapprox.engine import BlockStream, _AffineTail, count_tail_hits, final_deviation
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import recursion_weights
 
@@ -41,16 +41,25 @@ def halves_of(spec, target, n):
     return beta0 * (stat.start - stat.origin), padded.reshape(-1, 32)[: n // 32 + 1]
 
 
+def steps_of(n, halves):
+    """c_h, the steps k <= n of each half h, as floats."""
+    return np.array([min(32, n + 1 - 32 * h) for h in range(len(halves))], dtype=float)
+
+
 def estimate(spec, target, n, seed, lo, hi):
-    """M = start + 32 v0 sum_h m_h + sum_h ((v1 - v0) m_h) P_h, in the
-    screen's operation order, with P_h the popcount of half h."""
+    """M = start + v0 sum_h S_h + sum_h ((v1 - v0) m_h) P_h, in the screen's
+    operation order, with S_h the sum of half h, m_h = S_h / c_h its mean
+    over its c_h steps and P_h the popcount of its bits of steps <= n."""
     start, halves = halves_of(spec, target, n)
     v0, v1 = spec.noise.values
-    means = np.sum(halves, axis=1) / 32.0
-    m = np.full(hi - lo, start + 32.0 * v0 * float(np.sum(means)))
+    sums = np.sum(halves, axis=1)
+    means = sums / steps_of(n, halves)
+    m = np.full(hi - lo, start + v0 * float(np.sum(sums)))
     stream = BlockStream(seed, lo, hi)
     for h, mean in enumerate(means):
         word = stream.sign_word(h // 2)
+        if h // 2 == n // 64:  # the last word holds steps 64 (n // 64) .. n
+            word = word & np.uint64(2 ** (n % 64 + 1) - 1)
         half = word & np.uint64(0xFFFFFFFF) if h % 2 == 0 else word >> np.uint64(32)
         m += ((v1 - v0) * mean) * np.bitwise_count(half)
     return m
@@ -66,9 +75,11 @@ def test_slack(n):
         start, halves = halves_of(spec, target, n)
         words = n // 64 + 1
         v0, v1 = spec.noise.values
-        means = np.sum(halves, axis=1) / 32.0
-        above = np.sum(np.maximum(halves - means[:, None], 0.0), axis=1)
-        below = np.sum(np.maximum(means[:, None] - halves, 0.0), axis=1)
+        means = np.sum(halves, axis=1) / steps_of(n, halves)
+        # the spread is over the steps k <= n only
+        step = np.arange(halves.size).reshape(halves.shape) <= n
+        above = np.sum(np.where(step, np.maximum(halves - means[:, None], 0.0), 0.0), axis=1)
+        below = np.sum(np.where(step, np.maximum(means[:, None] - halves, 0.0), 0.0), axis=1)
         spread = abs(v1 - v0) * float(np.sum(np.maximum(above, below)))
         spread += 2 * (len(halves) + 33) * U * spread
         magnitude = abs(start) + spec.noise.Ku * float(np.sum(np.abs(halves)))
@@ -154,3 +165,61 @@ def test_a_tie_counts_under_inclusive_only():
     form = _AffineTail(spec, target, n, None, t)
     assert form._half_coefs is not None
     assert form.hits(SEED, 0, REPLICAS, t, True) == form.hits(SEED, 0, REPLICAS, t, False) + 1
+
+
+@pytest.mark.parametrize("n", (1000, 4000, 10000))
+def test_bits_past_the_horizon_do_not_move_the_screen(n, monkeypatch):
+    # the last half that holds a step holds 9, 1 and 17 of them
+    sign_word = BlockStream.sign_word
+    past = ~np.uint64(2 ** (n % 64 + 1) - 1)  # the bits of steps past n
+
+    def set_past(self, j):
+        word = sign_word(self, j)
+        return word | past if j == n // 64 else word
+
+    for spec, target in CASES:
+        plain = _AffineTail(spec, target, n)
+        t = float(np.median(np.abs(plain.deviations(SEED, 0, REPLICAS)))) + plain.slack
+        form = _AffineTail(spec, target, n, None, t)
+        screen = form._screen(BlockStream(SEED, 0, REPLICAS))
+        hits = form.hits(SEED, 0, REPLICAS, t, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(BlockStream, "sign_word", set_past)
+            assert np.array_equal(form._screen(BlockStream(SEED, 0, REPLICAS)), screen), (spec, target)
+            assert form.hits(SEED, 0, REPLICAS, t, False) == hits, (spec, target)
+
+
+def test_the_settle_pass_spans_blocks(monkeypatch):
+    # rate-linear's spec; three blocks, the last of 37 replicas
+    spec = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 1.0)
+    target, n, seed = "recursion", 1000, 5
+    replicas = 2 * engine.BLOCK + 37
+    blocks = [(lo, min(lo + engine.BLOCK, replicas)) for lo in range(0, replicas, engine.BLOCK)]
+    plain = _AffineTail(spec, target, n)
+    second = np.abs(plain.deviations(seed, *blocks[1]))
+    tie = blocks[1][0] + int(np.argsort(second)[len(second) // 2])
+    # most |M| lie within the slack of 1.25 slack; the tie is a replica of
+    # the second block, open since |recurrence - M| <= slack
+    wide, tied = 1.25 * plain.slack, abs(final_deviation(spec, target, n, seed, tie))
+    settle, chunks = _AffineTail._settle, []
+
+    def spy(self, seed, stream, *args):
+        chunks.append((stream.width, int(stream.replicas[0]), int(stream.replicas[-1])))
+        return settle(self, seed, stream, *args)
+
+    monkeypatch.setattr(_AffineTail, "_settle", spy)
+    for t in (wide, tied):
+        assert _AffineTail(spec, target, n, None, t)._half_coefs is not None
+        want = [sum(closed_form_hits(plain, target, seed, lo, hi, t, inclusive) for lo, hi in blocks)
+                for inclusive in (False, True)]
+        for workers, inclusive in itertools.product((1, 2, 3), (False, True)):
+            chunks.clear()
+            got = count_tail_hits(spec, target, n, seed, replicas, t, inclusive, workers).hits
+            assert got == want[inclusive], (t, workers, inclusive)
+            # one pass over the open replicas of every block, in full-width chunks
+            chunks.sort(key=lambda chunk: chunk[1])
+            assert chunks[0][1] < blocks[0][1] and chunks[-1][2] >= blocks[-1][0], (t, chunks)
+            assert [size for size, _, _ in chunks[:-1]] == [engine.BLOCK] * (len(chunks) - 1)
+        if t == wide:
+            assert len(chunks) > 1
+    assert want[1] == want[0] + 1  # the tie, recomputed at its global index
