@@ -55,14 +55,16 @@ its last horizon, and sliced for every horizon and every closed-form guard.
 The envelope is envelope_bound's read-only array, which keeps the last
 (spec, n) asked for: `sapprox bound` shares one with bounds.select_delta.
 
-Each block task borrows a BLOCK-wide workspace (_Workspace) from a pool
-kept for the life of the process (_borrowed) and puts it back when done;
-the pool holds at most as many as ran at once.  A BlockStream keeps its
-keys and hashes its words there, and the closed form writes every
-block-wide intermediate there, so after the first block a count allocates
-nothing block-wide.  A word stays valid until its workspace goes back to
-the pool.  Nothing pooled is returned: deviations, the rows of a stepped
-block and the open replicas' indices are arrays of their own.
+Each closed-form block task (a sift, a settle chunk) borrows a BLOCK-wide
+workspace (_Workspace) from a pool kept for the life of the process
+(_borrowed) and puts it back when done; the pool holds at most as many as
+ran at once.  The task's BlockStream keeps its keys and hashes its words
+there, and the closed form writes its float64 deviations and products
+there, so after the first block a count allocates nothing block-wide.  A
+word stays valid until its workspace goes back to the pool.  Nothing
+pooled is returned: deviations() and the open replicas' indices are arrays
+of their own.  A stepped block (_run_block) runs its n steps on buffers of
+its own, allocated once per block.
 """
 
 from __future__ import annotations
@@ -110,32 +112,26 @@ def _step_key(domain: int, j: int) -> int:
     return _mix64((domain + j * _STEP) & _MASK)
 
 
-def _mix64_array(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """mix64 of each element of the uint64 array z, in place, each shift
-    written into scratch (a new array when None)."""
-    shifted = np.empty_like(z) if scratch is None else scratch
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    written into scratch."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= np.uint64(_MIX1)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= np.uint64(_MIX2)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
 def replica_keys_array(seed: int, replicas: np.ndarray, out: Optional[np.ndarray] = None,
                        scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Vector of replica_key(seed, i) for each replica index i of the
-    integer array replicas, into out when given (replicas itself may be
-    out), mixed with scratch as _mix64_array's."""
+    integer array replicas, into out (replicas itself may be out), mixed
+    with scratch as _mix64_array's; each is a new array when None."""
     # the cast to uint64 is astype's, done in the loop's buffer
     z = np.multiply(replicas, np.uint64(_GOLDEN), out=out, dtype=np.uint64, casting="unsafe")
-    np.bitwise_xor(z, np.uint64(_mix64(seed & _MASK)), out=z)
-    return _mix64_array(z, scratch)
-
-
-def _step_keys(domain: int, count: int) -> np.ndarray:
-    """_step_key(domain, j) for j < count, as uint64."""
-    return _mix64_array(np.arange(count, dtype=np.uint64) * np.uint64(_STEP) + np.uint64(domain))
+    z ^= np.uint64(_mix64(seed & _MASK))
+    return _mix64_array(z, np.empty_like(z) if scratch is None else scratch)
 
 
 # 0, 1, ..., BLOCK - 1: a block's replica indices are lo plus these
@@ -146,15 +142,12 @@ _OFFSETS.flags.writeable = False
 class _Workspace:
     """The block-wide buffers of one replica block: a stream's replica keys,
     hash word and shift scratch (uint64), and the closed form's deviations
-    `dev`, two product rows `part` (float64), a sign word's two half
-    popcounts `counts` (uint8) and a row of `flags`.  51 bytes per replica,
-    1.7 MB at BLOCK."""
+    `dev` and two product rows `part` (float64).  48 bytes per replica,
+    1.5 MB at BLOCK."""
 
     def __init__(self, width: int):
         self.keys, self.word, self.scratch = np.empty((3, width), dtype=np.uint64)
         self.dev, self.part = np.empty(width), np.empty((2, width))
-        self.counts = np.empty((2, width), dtype=np.uint8)
-        self.flags = np.empty(width, dtype=bool)
 
     def cut(self, width: int) -> "_Workspace":
         """The first `width` columns of every buffer."""
@@ -213,43 +206,37 @@ class BlockStream:
     given workspace (a borrowed one of the pool, _borrowed) or of a new one,
     which the closed form uses for its block-wide intermediates too.  A
     returned word is valid until the next call, and only while its workspace
-    is borrowed: it goes back to the pool with it.  sign_keys, when given,
-    holds _step_key(_D_SIGN, j) at j for every word asked for."""
+    is borrowed: it goes back to the pool with it."""
 
-    def __init__(self, seed: int, lo: int, hi: int, space: Optional[_Workspace] = None,
-                 sign_keys: Optional[np.ndarray] = None):
-        keys = self._use(hi - lo, range(lo, hi), space, sign_keys)
+    def __init__(self, seed: int, lo: int, hi: int, space: Optional[_Workspace] = None):
+        keys = self._use(hi - lo, range(lo, hi), space)
         for s in range(0, len(keys), BLOCK):  # keys <- lo, lo + 1, ..., hi - 1
             np.add(_OFFSETS[: len(keys) - s], np.uint64(lo + s), out=keys[s: s + BLOCK])
         replica_keys_array(seed, keys, keys, self.space.scratch)
 
     @classmethod
-    def over(cls, seed: int, replicas: np.ndarray, space: Optional[_Workspace] = None,
-             sign_keys: Optional[np.ndarray] = None) -> "BlockStream":
+    def over(cls, seed: int, replicas: np.ndarray, space: Optional[_Workspace] = None) -> "BlockStream":
         """The stream of the replicas of an index array."""
         stream = cls.__new__(cls)
-        keys = stream._use(len(replicas), replicas, space, sign_keys)
+        keys = stream._use(len(replicas), replicas, space)
         replica_keys_array(seed, replicas, keys, stream.space.scratch)
         return stream
 
-    def _use(self, width: int, replicas, space: Optional[_Workspace],
-             sign_keys: Optional[np.ndarray]) -> np.ndarray:
+    def _use(self, width: int, replicas, space: Optional[_Workspace]) -> np.ndarray:
         self.width, self.replicas = width, replicas
         self.space = _Workspace(width) if space is None else space.cut(width)
-        self._sign_keys = sign_keys
         self._sign_block = -1
         return self.space.keys
 
-    def _hash(self, key: np.uint64) -> np.ndarray:
+    def _hash(self, domain: int, j: int) -> np.ndarray:
         space = self.space
-        np.bitwise_xor(space.keys, key, out=space.word)
+        np.bitwise_xor(space.keys, np.uint64(_step_key(domain, j)), out=space.word)
         return _mix64_array(space.word, space.scratch)
 
     def sign_word(self, j: int) -> np.ndarray:
         """Hash word j of the signs: bit r is the sign bit of step 64 j + r."""
         if j != self._sign_block:
-            keys = self._sign_keys
-            self._hash(np.uint64(_step_key(_D_SIGN, j)) if keys is None else keys[j])
+            self._hash(_D_SIGN, j)
             self._sign_block = j
         return self.space.word
 
@@ -264,7 +251,7 @@ class BlockStream:
     def uniforms(self, k: int, out: np.ndarray) -> None:
         """out <- the step-k uniforms in [0, 1)."""
         self._sign_block = -1  # the word buffer no longer holds a sign word
-        word = self._hash(np.uint64(_step_key(_D_UNIF, k)))
+        word = self._hash(_D_UNIF, k)
         np.right_shift(word, np.uint64(11), out=word)
         np.multiply(word, _INV53, out=out, casting="unsafe")
 
@@ -492,27 +479,26 @@ def _run_block(spec: ProblemSpec, stat, horizons: Sequence[int], seed: int,
                ) -> list[tuple[np.ndarray, int]]:
     """Steps stat (_target) on replicas [lo, hi) to the last of the
     increasing horizons; returns, for each horizon n, the deviations after
-    step n and the envelope violations through step n.  The stream, the
-    draws u and the envelope's flags live in a borrowed workspace; the
-    state and the rows are arrays of their own."""
+    step n and the envelope violations through step n."""
+    w = hi - lo
     stops = set(horizons)
+    draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
+    u = np.empty(w)
     f, a = recurrence_factors(spec.b, spec.c, horizons[-1])
-    state = np.full(hi - lo, stat.start)
+    state = np.full(w, stat.start)
+    if envelope is not None:
+        beyond = np.empty(w, dtype=bool)
     violations = 0
     results = []
-    with _borrowed() as space:
-        stream = BlockStream(seed, lo, hi, space)
-        draw = spec.noise.block_sampler(stream)
-        u, beyond = stream.space.dev, stream.space.flags
-        for k in range(horizons[-1] + 1):
-            draw(k, u)
-            state = stat.kernel(state, f[k], a[k], u)
-            if envelope is not None:  # u is free until the next draw
-                np.abs(np.subtract(state, stat.origin, out=u), out=u)
-                np.greater(u, envelope[k + 1], out=beyond)
-                violations += int(np.count_nonzero(beyond))
-            if k in stops:
-                results.append((state - stat.origin, violations))
+    for k in range(horizons[-1] + 1):
+        draw(k, u)
+        state = stat.kernel(state, f[k], a[k], u)
+        if envelope is not None:  # u is free until the next draw
+            np.abs(np.subtract(state, stat.origin, out=u), out=u)
+            np.greater(u, envelope[k + 1], out=beyond)
+            violations += int(np.count_nonzero(beyond))
+        if k in stops:
+            results.append((state - stat.origin, violations))
     return results
 
 
@@ -526,20 +512,16 @@ def _map_blocks(one, replicas: int, workers: int) -> list:
     return [one(r) for r in ranges]
 
 
-def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool,
-                  flags: Optional[np.ndarray] = None) -> int:
-    """Entries of mags beyond the threshold, each test written into flags
-    (a new array when None)."""
+def _count_beyond(mags: np.ndarray, threshold: float, inclusive: bool) -> int:
     # a NaN compares false and an inf beyond any threshold: either would
     # turn an overflowed recursion into a silent miss or hit
-    bad = mags.size - np.count_nonzero(np.isfinite(mags, out=flags))
+    bad = np.count_nonzero(~np.isfinite(mags))
     if bad:
         raise FloatingPointError(
             f"{bad} of {mags.size} final deviations are not finite "
             "(the recursion overflowed float64)"
         )
-    beyond = np.greater_equal if inclusive else np.greater
-    return int(np.count_nonzero(beyond(mags, threshold, out=flags)))
+    return int(np.count_nonzero(mags >= threshold if inclusive else mags > threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +682,6 @@ class _AffineTail:
         padded[: n + 1] = w
         self._word_weights = padded.reshape(self.words, 8, 8)
         self._columns = [min(8, (n - 64 * j) // 8 + 1) for j in range(self.words)]
-        self._sign_keys = _step_keys(_D_SIGN, self.words)
         values = spec.noise.values
         self._byte_values = np.asarray(values)[_BYTE_BITS]
         self.start = beta0 * (self._stat.start - self._stat.origin)
@@ -735,7 +716,7 @@ class _AffineTail:
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi), in a workspace
         of their own."""
-        return self._table_sum(BlockStream(seed, lo, hi, sign_keys=self._sign_keys))
+        return self._table_sum(BlockStream(seed, lo, hi))
 
     def _table_sum(self, stream: BlockStream) -> np.ndarray:
         """The closed-form final deviations of the replicas of stream, in its
@@ -761,7 +742,7 @@ class _AffineTail:
         plus, for each 32-step half of each sign word, the half's
         coefficient times its popcount."""
         w, space = stream.width, stream.space
-        part, counts, estimate = space.part, space.counts, space.dev
+        part, counts, estimate = space.part, np.empty((2, w), dtype=np.uint8), space.dev
         estimate.fill(self._base)
         for j, coefs in enumerate(self._half_coefs):
             word = stream.sign_word(j)
@@ -782,30 +763,28 @@ class _AffineTail:
         block [lo, hi): the screen's certain hits and open replicas, or with
         no screen the single pass's hits and none open."""
         with _borrowed() as space:
-            stream = BlockStream(seed, lo, hi, space, self._sign_keys)
+            stream = BlockStream(seed, lo, hi, space)
             if self._half_coefs is None:
                 return self._settle(seed, stream, threshold, inclusive), np.arange(0)
-            gap, flags = np.abs(self._screen(stream), out=stream.space.dev), stream.space.flags
+            gap = np.abs(self._screen(stream), out=stream.space.dev)
             gap -= threshold
-            certain = int(np.count_nonzero(np.greater(gap, self.slack, out=flags)))
+            certain = int(np.count_nonzero(gap > self.slack))
             np.abs(gap, out=gap)
             # a NaN stays open, so the table sum of _settle raises
-            open_ = np.flatnonzero(np.logical_not(np.greater(gap, self.slack, out=flags), out=flags))
-            open_ += lo
-            return certain, open_
+            return certain, lo + np.flatnonzero(~(gap > self.slack))
 
     def _settle(self, seed: int, stream: BlockStream, threshold: float,
                 inclusive: bool) -> int:
         """Hits among the replicas of stream by the table sums, each one
         within the guard of the threshold recomputed by the scalar
         reference at its global index."""
-        space = stream.space
-        mags = np.abs(self._table_sum(stream), out=space.dev)
-        near = np.abs(np.subtract(mags, threshold, out=space.part[0]), out=space.part[0])
-        for i in np.flatnonzero(np.less_equal(near, self.guard, out=space.flags)):
+        mags = np.abs(self._table_sum(stream), out=stream.space.dev)
+        near = stream.space.part[0]
+        np.abs(np.subtract(mags, threshold, out=near), out=near)
+        for i in np.flatnonzero(near <= self.guard):
             replica = int(stream.replicas[i])
             mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
-        return _count_beyond(mags, threshold, inclusive, space.flags)
+        return _count_beyond(mags, threshold, inclusive)
 
     def hits(self, seed: int, lo: int, hi: int, threshold: float, inclusive: bool,
              workers: int = 1) -> int:
@@ -827,7 +806,7 @@ class _AffineTail:
 
         def settle(rng: tuple[int, int]) -> int:
             with _borrowed() as space:
-                stream = BlockStream.over(seed, open_[rng[0]: rng[1]], space, self._sign_keys)
+                stream = BlockStream.over(seed, open_[rng[0]: rng[1]], space)
                 return self._settle(seed, stream, threshold, inclusive)
 
         return sum(certain for certain, _ in parts) + sum(_map_blocks(settle, len(open_), workers))
@@ -946,7 +925,7 @@ def count_tail_hits_grid(
 
     def one(rng: tuple[int, int]) -> list[tuple[int, int]]:
         rows = _run_block(spec, stat, ns, seed, *rng, envelope)
-        return [(_count_beyond(np.abs(devs, out=devs), t, inclusive), violations)
+        return [(_count_beyond(np.abs(devs), t, inclusive), violations)
                 for (devs, violations), t in zip(rows, ts)]
 
     parts = _map_blocks(one, replicas, workers)
