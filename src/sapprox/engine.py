@@ -30,14 +30,15 @@ Where the noise model's `fair_signs` says each draw is its value table at
 the step's sign bit, count_tail_hits sums a statistic affine in the noise
 (its `affine`: the weighted sum always, the recursion under linear drift) in
 closed form instead (_AffineTail, guarded by sum_error), with the hit counts
-of the sequential recurrence.  Past one sign word, and when the horizon's
-slack lies below its threshold, a screen decides most replicas first: two
+of the sequential recurrence.  The count is a cascade of estimates, each
+within a proven margin of the recurrence.  Past one sign word, and when the
+horizon's slack lies below its threshold, a screen comes first: two
 popcounts per word, one per 32-step half (the last word's bits past step n
 cleared), times the half's mean weight over its own steps, bound each
-replica's closed form within the slack.  The replicas whose estimate lies
-within the slack of the threshold stay open; after every block is
-screened, the open replicas of all blocks take the closed form's byte
-tables together, in full-width chunks of a stream over their indices.
+replica's closed form within the slack.  The byte tables follow, within the
+guard, and the scalar recurrence last.  Each stage decides the replicas
+whose estimate lies beyond its margin of the threshold and hands the global
+indices of the rest to the next, which takes them in full-width chunks.
 
 Because noise does not depend on the horizon, the path to a horizon n passes
 through the path to every earlier horizon.  count_tail_hits_grid (which
@@ -55,16 +56,15 @@ its last horizon, and sliced for every horizon and every closed-form guard.
 The envelope is envelope_bound's read-only array, which keeps the last
 (spec, n) asked for: `sapprox bound` shares one with bounds.select_delta.
 
-Each closed-form block task (a sift, a settle chunk) borrows a BLOCK-wide
-workspace (_Workspace) from a pool kept for the life of the process
-(_borrowed) and puts it back when done; the pool holds at most as many as
-ran at once.  The task's BlockStream keeps its keys and hashes its words
-there, and the closed form writes its float64 deviations and products
-there, so after the first block a count allocates nothing block-wide.  A
-word stays valid until its workspace goes back to the pool.  Nothing
-pooled is returned: deviations() and the open replicas' indices are arrays
-of their own.  A stepped block (_run_block) runs its n steps on buffers of
-its own, allocated once per block.
+Each closed-form stage task borrows a BLOCK-wide workspace from a pool
+kept for the life of the process (_borrowed) and puts it back when done;
+the pool holds at most as many as ran at once.  The task's BlockStream keeps
+its keys and hashes its words there, and the estimate writes its float64
+deviations and products there, so after the first block a count allocates
+nothing block-wide.  A word stays valid until its workspace goes back to
+the pool.  Nothing pooled is returned: deviations() and the open replicas'
+indices are arrays of their own.  A stepped block (_run_block) runs its n
+steps on buffers of its own, allocated once per block.
 """
 
 from __future__ import annotations
@@ -123,37 +123,28 @@ def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def replica_keys_array(seed: int, replicas: np.ndarray, out: Optional[np.ndarray] = None,
-                       scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def replica_keys_array(seed: int, replicas: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
     """Vector of replica_key(seed, i) for each replica index i of the
     integer array replicas, into out (replicas itself may be out), mixed
-    with scratch as _mix64_array's; each is a new array when None."""
+    with scratch as _mix64_array's."""
     # the cast to uint64 is astype's, done in the loop's buffer
     z = np.multiply(replicas, np.uint64(_GOLDEN), out=out, dtype=np.uint64, casting="unsafe")
     z ^= np.uint64(_mix64(seed & _MASK))
-    return _mix64_array(z, np.empty_like(z) if scratch is None else scratch)
+    return _mix64_array(z, scratch)
 
 
-# 0, 1, ..., BLOCK - 1: a block's replica indices are lo plus these
+# 0, 1, ..., BLOCK - 1: the replica indices of a range are its start plus these
 _OFFSETS = np.arange(BLOCK, dtype=np.uint64)
 _OFFSETS.flags.writeable = False
 
 
-class _Workspace:
-    """The block-wide buffers of one replica block: a stream's replica keys,
-    hash word and shift scratch (uint64), and the closed form's deviations
-    `dev` and two product rows `part` (float64).  48 bytes per replica,
-    1.5 MB at BLOCK."""
-
-    def __init__(self, width: int):
-        self.keys, self.word, self.scratch = np.empty((3, width), dtype=np.uint64)
-        self.dev, self.part = np.empty(width), np.empty((2, width))
-
-    def cut(self, width: int) -> "_Workspace":
-        """The first `width` columns of every buffer."""
-        cut = object.__new__(_Workspace)
-        cut.__dict__.update((name, a[..., :width]) for name, a in vars(self).items())
-        return cut
+def _workspace(width: int) -> tuple:
+    """The buffers of a block of `width` replicas: a stream's keys, hash word
+    and shift scratch (uint64 rows), and an estimate's deviations `dev` and
+    two product rows `part` (float64).  48 bytes per replica, 1.5 MB at
+    BLOCK."""
+    return np.empty((3, width), dtype=np.uint64), np.empty(width), np.empty((2, width))
 
 
 # The free BLOCK-wide workspaces, kept for the life of the process.  A task
@@ -165,11 +156,11 @@ _pool: list = []
 
 @contextmanager
 def _borrowed():
-    """A BLOCK-wide _Workspace of the pool, returned to it on exit."""
+    """A BLOCK-wide _workspace of the pool, returned to it on exit."""
     try:
         space = _pool.pop()
     except IndexError:
-        space = _Workspace(BLOCK)
+        space = _workspace(BLOCK)
     try:
         yield space
     finally:
@@ -198,47 +189,35 @@ class ReplicaStream:
 
 
 class BlockStream:
-    """ReplicaStream of every replica in [lo, hi) at once, or (over) of the
-    given replicas: element i of each draw is the draw of replica
-    replicas[i].
+    """ReplicaStream of each of at most BLOCK replicas at once, a range or an
+    index array: element i of each draw is the draw of replica replicas[i].
 
-    Keys and hash words live in `space`, the first `width` columns of the
-    given workspace (a borrowed one of the pool, _borrowed) or of a new one,
-    which the closed form uses for its block-wide intermediates too.  A
-    returned word is valid until the next call, and only while its workspace
-    is borrowed: it goes back to the pool with it."""
+    Keys and hash words live in the first `width` columns of `space`, a
+    _workspace (a borrowed one of the pool, _borrowed) or a new one, whose
+    `dev` and `part` an estimate of the closed form uses for its block-wide
+    intermediates.  A returned word is valid until the next call, and only
+    while its workspace is borrowed: it goes back to the pool with it."""
 
-    def __init__(self, seed: int, lo: int, hi: int, space: Optional[_Workspace] = None):
-        keys = self._use(hi - lo, range(lo, hi), space)
-        for s in range(0, len(keys), BLOCK):  # keys <- lo, lo + 1, ..., hi - 1
-            np.add(_OFFSETS[: len(keys) - s], np.uint64(lo + s), out=keys[s: s + BLOCK])
-        replica_keys_array(seed, keys, keys, self.space.scratch)
-
-    @classmethod
-    def over(cls, seed: int, replicas: np.ndarray, space: Optional[_Workspace] = None) -> "BlockStream":
-        """The stream of the replicas of an index array."""
-        stream = cls.__new__(cls)
-        keys = stream._use(len(replicas), replicas, space)
-        replica_keys_array(seed, replicas, keys, stream.space.scratch)
-        return stream
-
-    def _use(self, width: int, replicas, space: Optional[_Workspace]) -> np.ndarray:
-        self.width, self.replicas = width, replicas
-        self.space = _Workspace(width) if space is None else space.cut(width)
+    def __init__(self, seed: int, replicas, space: Optional[tuple] = None):
+        self.replicas, w = replicas, len(replicas)
+        words, dev, part = _workspace(w) if space is None else space
+        self.keys, self.word, self.scratch = words[:, :w]
+        self.width, self.dev, self.part = w, dev[:w], part[:, :w]
         self._sign_block = -1
-        return self.space.keys
+        if isinstance(replicas, range):  # keys <- start, start + 1, ..., stop - 1
+            replicas = np.add(_OFFSETS[:w], np.uint64(replicas.start), out=self.keys)
+        replica_keys_array(seed, replicas, self.keys, self.scratch)
 
     def _hash(self, domain: int, j: int) -> np.ndarray:
-        space = self.space
-        np.bitwise_xor(space.keys, np.uint64(_step_key(domain, j)), out=space.word)
-        return _mix64_array(space.word, space.scratch)
+        np.bitwise_xor(self.keys, np.uint64(_step_key(domain, j)), out=self.word)
+        return _mix64_array(self.word, self.scratch)
 
     def sign_word(self, j: int) -> np.ndarray:
         """Hash word j of the signs: bit r is the sign bit of step 64 j + r."""
         if j != self._sign_block:
             self._hash(_D_SIGN, j)
             self._sign_block = j
-        return self.space.word
+        return self.word
 
     def sign_bits(self, k: int, out: np.ndarray) -> None:
         """out <- the step-k sign bits, 0 or 1, into an int64 array, which
@@ -482,7 +461,7 @@ def _run_block(spec: ProblemSpec, stat, horizons: Sequence[int], seed: int,
     step n and the envelope violations through step n."""
     w = hi - lo
     stops = set(horizons)
-    draw = spec.noise.block_sampler(BlockStream(seed, lo, hi))
+    draw = spec.noise.block_sampler(BlockStream(seed, range(lo, hi)))
     u = np.empty(w)
     f, a = recurrence_factors(spec.b, spec.c, horizons[-1])
     state = np.full(w, stat.start)
@@ -663,14 +642,19 @@ class _AffineTail:
     slack and |M| - threshold rounds by at most 3 u slack, within the half
     of the guard that |recurrence - closed form| leaves unused.  A horizon
     that fits in one word, or whose slack is not below the threshold it is
-    built for, keeps the single pass and builds no screen.
+    built for, builds no screen.
 
-    The count (hits).  Each block of BLOCK replicas is screened, or with no
-    screen summed whole, on up to `workers` threads.  The screen leaves
-    the global indices of its open replicas (those it does not decide),
-    and then the open replicas of every block take the table sums and the
-    guard band together, BLOCK at a time (BlockStream.over), so that a few
-    open replicas per block do not each pay a block's table pass.
+    The count (hits) is a cascade of estimates: the screen M within `slack`
+    of the recurrence where it is built, then the table sums within
+    `guard`.  Each stage runs over full-width chunks of its replicas, on up
+    to `workers` threads: the first over the blocks of [lo, hi), the table
+    stage over the global indices that the screen left open, so that a few
+    open replicas per block do not each pay a block's table pass.  A stage
+    counts as hits the replicas whose |estimate| lies more than its margin
+    beyond the threshold, drops those more than its margin below, and hands
+    on the rest; the scalar reference, bitwise the batch row, recomputes
+    what the tables leave open.  A decided replica is a hit or a miss under
+    > and >= alike, so hit counts equal the recurrence's exactly.
     """
 
     def __init__(self, spec: ProblemSpec, target: str, n: int,
@@ -716,16 +700,15 @@ class _AffineTail:
     def deviations(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Closed-form final deviations of replicas [lo, hi), in a workspace
         of their own."""
-        return self._table_sum(BlockStream(seed, lo, hi))
+        return self._table_sum(BlockStream(seed, range(lo, hi)))
 
     def _table_sum(self, stream: BlockStream) -> np.ndarray:
         """The closed-form final deviations of the replicas of stream, in its
-        workspace's dev."""
-        w, space = stream.width, stream.space
-        part, dev = space.part[0], space.dev
+        dev."""
+        w, part, dev = stream.width, stream.part[0], stream.dev
         # np.take would cast uint8 indices into a new intp array, so each
         # byte column is cast into the scratch, free until the next word
-        index = space.scratch.view(np.intp)
+        index = stream.scratch.view(np.intp)
         dev.fill(self.start)
         for j, columns in enumerate(self._columns):
             table = self._word_weights[j] @ self._byte_values
@@ -738,16 +721,16 @@ class _AffineTail:
         return dev
 
     def _screen(self, stream: BlockStream) -> np.ndarray:
-        """M of the replicas of stream, in its workspace's dev: the base
-        plus, for each 32-step half of each sign word, the half's
-        coefficient times its popcount."""
-        w, space = stream.width, stream.space
-        part, counts, estimate = space.part, np.empty((2, w), dtype=np.uint8), space.dev
+        """M of the replicas of stream, in its dev: the base plus, for each
+        32-step half of each sign word, the half's coefficient times its
+        popcount."""
+        w, part, estimate = stream.width, stream.part, stream.dev
+        counts = np.empty((2, w), dtype=np.uint8)
         estimate.fill(self._base)
         for j, coefs in enumerate(self._half_coefs):
             word = stream.sign_word(j)
             if j == self.words - 1:  # into the scratch, free until the next word
-                word = np.bitwise_and(word, self._last_bits, out=space.scratch)
+                word = np.bitwise_and(word, self._last_bits, out=stream.scratch)
             # row g counts the steps 64j + 32g .. 64j + 32g + 31
             halves = word.astype("<u8", copy=False).view("<u4").reshape(w, 2)
             np.bitwise_count(halves.T, out=counts)
@@ -757,59 +740,46 @@ class _AffineTail:
                 estimate += row
         return estimate
 
-    def _sift(self, seed: int, lo: int, hi: int, threshold: float,
-              inclusive: bool) -> tuple[int, np.ndarray]:
-        """(hits decided, global indices of the replicas left open) of the
-        block [lo, hi): the screen's certain hits and open replicas, or with
-        no screen the single pass's hits and none open."""
-        with _borrowed() as space:
-            stream = BlockStream(seed, lo, hi, space)
-            if self._half_coefs is None:
-                return self._settle(seed, stream, threshold, inclusive), np.arange(0)
-            gap = np.abs(self._screen(stream), out=stream.space.dev)
-            gap -= threshold
-            certain = int(np.count_nonzero(gap > self.slack))
-            np.abs(gap, out=gap)
-            # a NaN stays open, so the table sum of _settle raises
-            return certain, lo + np.flatnonzero(~(gap > self.slack))
-
-    def _settle(self, seed: int, stream: BlockStream, threshold: float,
-                inclusive: bool) -> int:
-        """Hits among the replicas of stream by the table sums, each one
-        within the guard of the threshold recomputed by the scalar
-        reference at its global index."""
-        mags = np.abs(self._table_sum(stream), out=stream.space.dev)
-        near = stream.space.part[0]
-        np.abs(np.subtract(mags, threshold, out=near), out=near)
-        for i in np.flatnonzero(near <= self.guard):
-            replica = int(stream.replicas[i])
-            mags[i] = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
-        return _count_beyond(mags, threshold, inclusive)
-
     def hits(self, seed: int, lo: int, hi: int, threshold: float, inclusive: bool,
              workers: int = 1) -> int:
-        """Tail hits of replicas [lo, hi), blocks from lo on, on up to
-        `workers` threads: each block sifted, then every open replica
-        settled, a full-width chunk at a time.
+        """Tail hits of replicas [lo, hi), on up to `workers` threads: each
+        stage of the cascade over full-width chunks of the replicas the one
+        before left open, then the scalar reference on what the tables leave.
 
         The open replicas of a horizon usually fit one chunk, which then
-        runs on one thread.  Splitting it would not help: the settle pass is
+        runs on one thread.  Splitting it would not help: the table stage is
         many short numpy calls, each holding the GIL briefly, so a second
         thread mostly waits.  On rate-linear's spec (seed 808, in process,
         40 alternations, 2 vCPUs) one chunk took 1.88 ms against 6.16 ms
         for two halves on two threads at n = 1000 (6,287 open replicas),
         and 4.21 against 9.39 ms at n = 4000 (928).
         """
-        parts = _map_blocks(lambda rng: self._sift(seed, lo + rng[0], lo + rng[1], threshold, inclusive),
-                            hi - lo, workers)
-        open_ = np.concatenate([rows for _, rows in parts])
-
-        def settle(rng: tuple[int, int]) -> int:
+        def stage(rng: tuple[int, int]) -> tuple[int, np.ndarray]:
+            """(hits decided, global indices of the replicas left open) of a
+            chunk of the open replicas, a range or an index array, by this
+            stage's estimate (a stream's _screen or _table_sum) within its
+            margin of the recurrence."""
+            chunk = open_[rng[0]: rng[1]]
             with _borrowed() as space:
-                stream = BlockStream.over(seed, open_[rng[0]: rng[1]], space)
-                return self._settle(seed, stream, threshold, inclusive)
+                gap = estimate(BlockStream(seed, chunk, space))
+                np.abs(gap, out=gap)
+                gap -= threshold
+                decided = int(np.count_nonzero(gap > margin))
+                np.abs(gap, out=gap)
+                rows = np.flatnonzero(~(gap > margin))  # a NaN stays open
+            return decided, chunk.start + rows if isinstance(chunk, range) else chunk[rows]
 
-        return sum(certain for certain, _ in parts) + sum(_map_blocks(settle, len(open_), workers))
+        hits, open_ = 0, range(lo, hi)
+        stages = [(self._screen, self.slack)] if self._half_coefs is not None else []
+        for estimate, margin in stages + [(self._table_sum, self.guard)]:
+            parts = _map_blocks(stage, len(open_), workers)
+            hits += sum(decided for decided, _ in parts)
+            # np.arange(0) gives concatenate an array when no chunk ran
+            open_ = np.concatenate([np.arange(0), *(rows for _, rows in parts)])
+        for replica in open_.tolist():
+            dev = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
+            hits += int(dev >= threshold if inclusive else dev > threshold)
+        return hits
 
 
 def count_tail_hits(
@@ -859,8 +829,8 @@ def count_tail_hits_grid(
     counted at every horizon on the way.  Envelope violations of result i
     are those through step horizons[i].  The closed form shares nothing
     across horizons (its weights depend on n) and counts each horizon on
-    its own: its blocks screened, then their open replicas settled
-    together (_AffineTail.hits).
+    its own, by one cascade of estimates over all its replicas
+    (_AffineTail.hits).
 
     Settled horizons.  Without an envelope, a horizon n whose threshold
     lies beyond its reach B_{n+1} + E_{n+1} (_Reach: the statistic's

@@ -87,22 +87,22 @@ def test_every_public_name_is_used_in_src():
 
 class TestStreams:
     def test_scalar_matches_vector_keys(self):
-        keys = replica_keys_array(42, np.arange(64))
+        keys = replica_keys_array(42, np.arange(64), np.empty(64, np.uint64), np.empty(64, np.uint64))
         for i in (0, 1, 17, 63):
             assert int(keys[i]) == replica_key(42, i)
         # any replica indices, in any order
         replicas = [5, 2**40 + 3, 0, 70000]
-        keys = replica_keys_array(42, np.array(replicas))
+        keys = replica_keys_array(42, np.array(replicas), np.empty(4, np.uint64), np.empty(4, np.uint64))
         assert keys.tolist() == [replica_key(42, i) for i in replicas]
 
     def test_a_stream_over_given_replicas_is_theirs(self):
         replicas = [70, 3, 41, 40]
-        stream = BlockStream.over(11, np.array(replicas))
+        stream = BlockStream(11, np.array(replicas))
         bits = np.empty(4, dtype=np.int64)
         for k in (0, 63, 200):
             stream.sign_bits(k, bits)
             assert bits.tolist() == [ReplicaStream(11, i).sign_bit(k) for i in replicas]
-        assert list(stream.replicas) == replicas and list(BlockStream(11, 40, 44).replicas) == [40, 41, 42, 43]
+        assert list(stream.replicas) == replicas and list(BlockStream(11, range(40, 44)).replicas) == [40, 41, 42, 43]
 
     def test_uniforms_in_range(self):
         st = ReplicaStream(7, 3)
@@ -117,7 +117,7 @@ class TestStreams:
         assert abs(np.mean(bits) - 0.5) < 0.025
 
     def test_block_sign_bits_match_scalar(self):
-        stream = BlockStream(11, 40, 77)
+        stream = BlockStream(11, range(40, 77))
         bits = np.empty(37, dtype=np.int64)
         for k in (0, 1, 63, 64, 200):
             stream.sign_bits(k, bits)
@@ -422,8 +422,8 @@ class TestTwoPointBlockSampler:
         # upper None: p_min == p_max, else p_max anywhere in [p_min, 0.99]
         p_max = p_min if upper is None else p_min + upper * (0.99 - p_min)
         noise = TwoPointAdaptive(sigma, p_min, p_max)
-        draw = noise.block_sampler(BlockStream(seed, lo, lo + width))
-        want = reference_two_point_sampler(noise, BlockStream(seed, lo, lo + width))
+        draw = noise.block_sampler(BlockStream(seed, range(lo, lo + width)))
+        want = reference_two_point_sampler(noise, BlockStream(seed, range(lo, lo + width)))
         got, ref = np.empty(width), np.empty(width)
         for k in range(200):  # step 0 draws at the midpoint, later steps by state
             draw(k, got)

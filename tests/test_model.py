@@ -264,7 +264,7 @@ class TestSampleNoise:
 
     @staticmethod
     def check_block_equals_scalar(noise, seed, lo=5, width=37):
-        block = noise.block_sampler(BlockStream(seed, lo, lo + width))
+        block = noise.block_sampler(BlockStream(seed, range(lo, lo + width)))
         scalars = [noise.sampler(ReplicaStream(seed, lo + i)) for i in range(width)]
         out = np.empty(width)
         for k in range(130):  # past two 64-step sign words
@@ -325,7 +325,7 @@ class TestNoiseChain:
         draw = noise.sampler(ReplicaStream(seed, lo))
         assert [draw(k) for k in range(130)] == chain_draws(noise, seed, lo), noise
         for width in (1, 37):
-            block = noise.block_sampler(BlockStream(seed, lo, lo + width))
+            block = noise.block_sampler(BlockStream(seed, range(lo, lo + width)))
             want = np.array([chain_draws(noise, seed, lo + i) for i in range(width)])
             out = np.empty(width)
             for k in range(130):  # past two 64-step sign words

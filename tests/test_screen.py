@@ -9,6 +9,7 @@ against its terms, as tests/test_rounding_guards.py pins the guard.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from references import closed_form_hits
 from test_rounding_guards import CASES as GUARD_CASES
 
 from sapprox import engine
-from sapprox.engine import BlockStream, _AffineTail, count_tail_hits, final_deviation
+from sapprox.engine import BlockStream, _AffineTail, count_tail_hits, envelope_bound, final_deviation
 from sapprox.model import LinearDrift, ProblemSpec, Rademacher
 from sapprox.weights import recursion_weights
 
@@ -55,7 +56,7 @@ def estimate(spec, target, n, seed, lo, hi):
     sums = np.sum(halves, axis=1)
     means = sums / steps_of(n, halves)
     m = np.full(hi - lo, start + v0 * float(np.sum(sums)))
-    stream = BlockStream(seed, lo, hi)
+    stream = BlockStream(seed, range(lo, hi))
     for h, mean in enumerate(means):
         word = stream.sign_word(h // 2)
         if h // 2 == n // 64:  # the last word holds steps 64 (n // 64) .. n
@@ -94,7 +95,7 @@ def test_every_closed_form_lies_within_the_slack_of_m(n):
     for spec, target in CASES:
         form = _AffineTail(spec, target, n, None, np.inf)  # builds the screen
         m = estimate(spec, target, n, SEED, 0, REPLICAS)
-        assert np.array_equal(form._screen(BlockStream(SEED, 0, REPLICAS)), m)
+        assert np.array_equal(form._screen(BlockStream(SEED, range(REPLICAS))), m)
         off = np.abs(form.deviations(SEED, 0, REPLICAS) - m)
         assert np.max(off) <= form.slack - form.guard, (spec, target, n)
 
@@ -181,11 +182,11 @@ def test_bits_past_the_horizon_do_not_move_the_screen(n, monkeypatch):
         plain = _AffineTail(spec, target, n)
         t = float(np.median(np.abs(plain.deviations(SEED, 0, REPLICAS)))) + plain.slack
         form = _AffineTail(spec, target, n, None, t)
-        screen = form._screen(BlockStream(SEED, 0, REPLICAS))
+        screen = form._screen(BlockStream(SEED, range(REPLICAS)))
         hits = form.hits(SEED, 0, REPLICAS, t, False)
         with monkeypatch.context() as patch:
             patch.setattr(BlockStream, "sign_word", set_past)
-            assert np.array_equal(form._screen(BlockStream(SEED, 0, REPLICAS)), screen), (spec, target)
+            assert np.array_equal(form._screen(BlockStream(SEED, range(REPLICAS))), screen), (spec, target)
             assert form.hits(SEED, 0, REPLICAS, t, False) == hits, (spec, target)
 
 
@@ -201,13 +202,13 @@ def test_the_settle_pass_spans_blocks(monkeypatch):
     # most |M| lie within the slack of 1.25 slack; the tie is a replica of
     # the second block, open since |recurrence - M| <= slack
     wide, tied = 1.25 * plain.slack, abs(final_deviation(spec, target, n, seed, tie))
-    settle, chunks = _AffineTail._settle, []
+    table_sum, chunks = _AffineTail._table_sum, []
 
-    def spy(self, seed, stream, *args):
+    def spy(self, stream):
         chunks.append((stream.width, int(stream.replicas[0]), int(stream.replicas[-1])))
-        return settle(self, seed, stream, *args)
+        return table_sum(self, stream)
 
-    monkeypatch.setattr(_AffineTail, "_settle", spy)
+    monkeypatch.setattr(_AffineTail, "_table_sum", spy)
     for t in (wide, tied):
         assert _AffineTail(spec, target, n, None, t)._half_coefs is not None
         want = [sum(closed_form_hits(plain, target, seed, lo, hi, t, inclusive) for lo, hi in blocks)
@@ -223,3 +224,56 @@ def test_the_settle_pass_spans_blocks(monkeypatch):
         if t == wide:
             assert len(chunks) > 1
     assert want[1] == want[0] + 1  # the tie, recomputed at its global index
+
+
+def tie_of_the_second_block(spec, target, n, seed, replicas):
+    """A threshold that a replica of the second block attains: the
+    recurrence's |deviation| of the one with the median closed form."""
+    lo, hi = engine.BLOCK, min(2 * engine.BLOCK, replicas)
+    second = np.abs(_AffineTail(spec, target, n).deviations(seed, lo, hi))
+    return abs(final_deviation(spec, target, n, seed, lo + int(np.argsort(second)[len(second) // 2])))
+
+
+# (spec, target, n, seed, replicas, threshold): the n = 1 tie of
+# tests/test_settled_horizons.py, one word and no screen, whose threshold
+# 1212 paths attain one ulp above the float envelope; and the screened tie
+# of test_the_settle_pass_spans_blocks, over three blocks
+ONE_WORD = ProblemSpec(LinearDrift(-0.8, 0.5), Rademacher(0.9), 2.0, 1.25)
+SCREENED = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 1.0)
+HAND_OFFS = {
+    "one_word": (ONE_WORD, "recursion", 1, 2718, 5000,
+                 lambda: math.nextafter(float(envelope_bound(ONE_WORD, 1)[0][2]), math.inf)),
+    "screened": (SCREENED, "recursion", 1000, 5, 2 * engine.BLOCK + 37,
+                 lambda: tie_of_the_second_block(SCREENED, "recursion", 1000, 5, 2 * engine.BLOCK + 37)),
+}
+
+
+@pytest.mark.parametrize("case", HAND_OFFS)
+def test_the_scalar_reference_recomputes_the_replicas_within_the_guard(case, monkeypatch):
+    # the stages hand each undecided replica on by its global index, and
+    # the scalar reference recomputes exactly those whose table sum lies
+    # within the guard of the threshold, once each
+    spec, target, n, seed, replicas, threshold = HAND_OFFS[case]
+    t = threshold()
+    plain = _AffineTail(spec, target, n)
+    assert (_AffineTail(spec, target, n, None, t)._half_coefs is None) == (case == "one_word")
+    near = []
+    for lo in range(0, replicas, engine.BLOCK):
+        mags = np.abs(plain.deviations(seed, lo, min(lo + engine.BLOCK, replicas)))
+        near += (lo + np.flatnonzero(np.abs(mags - t) <= plain.guard)).tolist()
+    assert near
+    scalar_path, seen = engine._scalar_path, []
+
+    def spy(spec, stat, n, seed, replica, *args):
+        seen.append(replica)
+        return scalar_path(spec, stat, n, seed, replica, *args)
+
+    monkeypatch.setattr(engine, "_scalar_path", spy)
+    hits = {}
+    for workers, inclusive in itertools.product((1, 3), (False, True)):
+        seen.clear()
+        hits.setdefault(inclusive, set()).add(
+            count_tail_hits(spec, target, n, seed, replicas, t, inclusive, workers).hits)
+        assert sorted(seen) == near, (workers, inclusive)
+    (strict,), (inclusive,) = hits[False], hits[True]  # the same at every worker count
+    assert inclusive > strict  # the tie, recomputed at its global index

@@ -29,7 +29,7 @@ SEED = 41
 # rate-linear's spec: its recursion takes the closed form and, past one
 # sign word, the screen
 LINEAR = ProblemSpec(LinearDrift(-1.0, 0.0), Rademacher(1.0), 2.0, 1.0)
-# oracle-weighted-sum's spec: horizons within one sign word, single pass
+# oracle-weighted-sum's spec: horizons within one sign word, no screen
 ORACLE = ProblemSpec(LinearDrift(-2.0, 0.0), Rademacher(1.0), 1.0, 0.0)
 # no fair signs: the recursion is stepped block by block
 STEPPED = ProblemSpec(SineLinearDrift(3.0, 1.0), TwoPointAdaptive(1.0, 0.4, 0.6), 1.0, 0.5)
@@ -41,7 +41,7 @@ def rate_threshold(spec, n):
     return Schedule(gamma=3.0, n_grid=(n,), r=1.0).b(n) / h_norm(spec.b, spec.c, n)
 
 
-# (spec, target, n, threshold): the screen, the single pass, the stepped path
+# (spec, target, n, threshold): the screen, the tables alone, the stepped path
 COUNTS = [
     (LINEAR, "recursion", 1000, rate_threshold(LINEAR, 1000)),
     (ORACLE, "weighted_sum", 20, rate_threshold(ORACLE, 20)),
@@ -50,7 +50,7 @@ COUNTS = [
 
 
 def pooled_buffers():
-    return [buffer for space in engine._pool for buffer in vars(space).values()]
+    return [buffer for space in engine._pool for buffer in space]
 
 
 def test_the_counts_take_each_path():
@@ -63,17 +63,27 @@ def test_the_counts_take_each_path():
 @contextmanager
 def tracked_pool(monkeypatch):
     """A fresh pool, and a dict whose "peak" is the largest number of
-    workspaces out at once since it was last set to 0."""
+    workspaces out at once since it was last set to 0.  Set "together" to a
+    threading.Barrier of m parties, and the next m borrowers each wait at it
+    holding their workspace, until all m hold one."""
     monkeypatch.setattr(engine, "_pool", [])
-    borrowed, lock, seen = engine._borrowed, threading.Lock(), {"out": 0, "peak": 0}
+    borrowed, lock = engine._borrowed, threading.Lock()
+    seen = {"out": 0, "peak": 0, "together": None, "waiting": 0}
 
     @contextmanager
     def counted():
         with lock:
             seen["out"] += 1
             seen["peak"] = max(seen["peak"], seen["out"])
+            together = seen["together"]
+            if together is not None:
+                seen["waiting"] += 1
+                if seen["waiting"] == together.parties:
+                    seen["together"], seen["waiting"] = None, 0
         try:
             with borrowed() as space:
+                if together is not None:
+                    together.wait()
                 yield space
         finally:
             with lock:
@@ -91,9 +101,27 @@ def test_no_pooled_buffer_escapes(monkeypatch):
         stat = engine._target(STEPPED, "recursion")
         rows = [row for row, _ in engine._run_block(STEPPED, stat, (20, 40), SEED, 0, 37)]
         screened = _AffineTail(LINEAR, "recursion", 1000, None, COUNTS[0][3])
-        _, open_ = screened._sift(SEED, 0, 37, COUNTS[0][3], False)
+        stages, map_blocks = [], engine._map_blocks
+
+        def spy(one, replicas, workers):
+            stages.append(map_blocks(one, replicas, workers))
+            return stages[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_map_blocks", spy)
+            screened.hits(SEED, 0, 37, COUNTS[0][3], False)
+        open_ = stages[0][0][1]  # the indices that the screen left open
         kept = [array.copy() for array in (devs, *rows, open_)]
         hits, most = {}, seen["peak"]
+        # three blocks on three workers, whose first three borrowers wait
+        # for each other, so that three workspaces are out at once
+        seen.update(peak=0, together=threading.Barrier(3, timeout=60))
+        spec, target, n, t = COUNTS[0]
+        replicas = 2 * BLOCK + 37
+        got = count_tail_hits(spec, target, n, SEED, replicas, t, False, 3).hits
+        hits.setdefault((target, n, replicas), set()).add(got)
+        assert seen["together"] is None
+        most = max(most, seen["peak"])
         for (spec, target, n, t), replicas, workers, _ in itertools.product(
                 COUNTS, WIDTHS, (1, 2, 3), range(2)):
             seen["peak"] = 0
@@ -132,7 +160,7 @@ def test_threads_never_share_a_workspace(monkeypatch):
                     if id(space) in holders:
                         clashes.append((name, holders[id(space)]))
                     holders[id(space)] = name
-                space.dev[:1] = 0.0
+                space[1][:1] = 0.0  # its dev
                 with lock:
                     del holders[id(space)]
 
