@@ -32,11 +32,11 @@ the step's sign bit, count_tail_hits sums a statistic affine in the noise
 closed form instead (_AffineTail, guarded by sum_error), with the hit counts
 of the sequential recurrence.  The count is a cascade of estimates, each
 within a proven margin of the recurrence.  Past one sign word, and when the
-horizon's slack lies below its threshold, a screen comes first: two
-popcounts per word, one per 32-step half (the last word's bits past step n
-cleared), times the half's mean weight over its own steps, bound each
-replica's closed form within the slack.  The byte tables follow, within the
-guard, and the scalar recurrence last.  Each stage decides the replicas
+horizon's slack lies below its threshold, a screen comes first: one
+popcount per sign word (the last word's bits past step n cleared), times
+the word's mean weight over its own steps, bounds each replica's closed
+form within the slack.  The byte tables follow, within the guard, and the
+scalar recurrence last.  Each stage decides the replicas
 whose estimate lies beyond its margin of the threshold and hands the global
 indices of the rest to the next, which takes them in full-width chunks.
 
@@ -142,9 +142,9 @@ _OFFSETS.flags.writeable = False
 def _workspace(width: int) -> tuple:
     """The buffers of a block of `width` replicas: a stream's keys, hash word
     and shift scratch (uint64 rows), and an estimate's deviations `dev` and
-    two product rows `part` (float64).  48 bytes per replica, 1.5 MB at
+    product row `part` (float64).  40 bytes per replica, 1.25 MB at
     BLOCK."""
-    return np.empty((3, width), dtype=np.uint64), np.empty(width), np.empty((2, width))
+    return np.empty((3, width), dtype=np.uint64), np.empty(width), np.empty(width)
 
 
 # The free BLOCK-wide workspaces, kept for the life of the process.  A task
@@ -202,7 +202,7 @@ class BlockStream:
         self.replicas, w = replicas, len(replicas)
         words, dev, part = _workspace(w) if space is None else space
         self.keys, self.word, self.scratch = words[:, :w]
-        self.width, self.dev, self.part = w, dev[:w], part[:, :w]
+        self.width, self.dev, self.part = w, dev[:w], part[:w]
         self._sign_block = -1
         if isinstance(replicas, range):  # keys <- start, start + 1, ..., stop - 1
             replicas = np.add(_OFFSETS[:w], np.uint64(replicas.start), out=self.keys)
@@ -613,31 +613,36 @@ class _AffineTail:
     scalar reference (bitwise the batch row), so hit counts equal the
     recurrence's exactly.
 
-    The screen.  Half h of the weights (steps 32h..32h+31, the low 32 bits
-    of word h // 2 for even h and the high ones for odd h, read
-    little-endian) holds c_h = min(32, n + 1 - 32h) steps, the weight sum
-    S_h, the mean m_h = fl(S_h) / c_h and the popcount P_h of its sign
-    bits, where the last word's bits past step n are cleared first, so
-    P_h <= c_h.  With v0, v1 the values of a down and an up step and
-    D = v1 - v0, the closed form is exactly
-        M + v0 sum_h (S_h - fl(S_h)) + D sum_h e_h,
-        M = base + sum_h (D m_h) P_h,   base = start + v0 sum_h c_h m_h,
-    with each c_h m_h taken as fl(S_h), the float that m_h divides, and
-    e_h = sum_{k in h} (w_k - m_h) bit_k over the half's c_h steps.  The
-    identity holds for every m_h, so the division's rounding (a last half's
-    c_h need not be a power of two) adds no term: it only moves m_h, and
-    the spread is built from the m_h computed.
-    |e_h| is at most the larger of sum (w_k - m_h)^+ and sum (m_h - w_k)^+
-    over the half's steps, since each bit is 0 or 1.  So the computed
-    closed form lies within `slack` - guard of the computed M: |D| times
-    the sum of those maxima, raised by sum_error(2 (H + 33), .) for its own
-    H + 33 roundings (H halves hold a step), plus sum_error of 8 words + 9
-    + 4 H + 40 terms on the guard's magnitude, which covers the table sums
-    (as in the guard), the sums S_h (32), the base (H + 1), the
-    coefficients D m_h (4: two roundings on at most twice the magnitude,
-    as P_h |m_h| <= c_h |m_h| is |fl(S_h)| to a rounding), their products
-    with P_h (2) and the H additions of M (3 H).  Hence |recurrence - M| <=
-    slack.  A replica with |M| - threshold > slack is a hit, and one with
+    The screen.  Word j of the weights (steps 64j..64j+63) holds
+    c_j = min(64, n + 1 - 64j) steps, the weight sum S_j, the mean
+    m_j = fl(S_j) / c_j and the popcount P_j of its sign word, whose bits
+    past step n are cleared first in the last word, so P_j <= c_j.  With
+    v0, v1 the values of a down and an up step and D = v1 - v0, the closed
+    form is exactly
+        M + v0 sum_j (S_j - fl(S_j)) + D sum_j e_j,
+        M = base + sum_j (D m_j) P_j,   base = start + v0 sum_j fl(S_j),
+    with e_j = sum_{k in j} (w_k - m_j) bit_k over the word's c_j steps.
+    The identity holds for every m_j, so the division's rounding (a last
+    word's c_j need not be a power of two) adds no term: it only moves m_j,
+    and the spread is built from the m_j computed.
+    |e_j| is at most the larger of sum (w_k - m_j)^+ and sum (m_j - w_k)^+
+    over the word's steps, since each bit is 0 or 1, and the spread is |D|
+    times the sum of those maxima over the W words.  Its computed value is
+    raised by sum_error(2 (W + 65), .): its W + 65 roundings are the
+    differences w_k - m_j (1), the 63 additions of each word's sum, the
+    W - 1 of the sum over the words, D (1) and the product (1), all on
+    nonnegative parts, and the factor 2 covers the bound's second order and
+    the raise's own rounding.  The rest is sum_error of 8 W + 9 + 4 W + 72
+    terms on the guard's magnitude, a sum of m terms counted m times as in
+    sum_error: the table sums (8 W + 9, as in the guard), the sums S_j (64:
+    each of 64 terms, on sum |w| in all, times |v0| <= Ku), the base
+    (W + 2: its sum of W, the product by v0 and the addition of start), the
+    coefficients D m_j (4: two roundings on at most twice the magnitude, as
+    P_j |m_j| <= c_j |m_j| is |fl(S_j)| to a rounding), their products with
+    P_j (2) and the W additions of M (3 W, on partial sums of at most three
+    times the magnitude).  So the computed closed form lies within
+    `slack` - guard of the computed M, and |recurrence - M| <= slack.  A
+    replica with |M| - threshold > slack is a hit, and one with
     threshold - |M| > slack a miss, under > and >= alike.  Forming the
     slack and |M| - threshold rounds by at most 3 u slack, within the half
     of the guard that |recurrence - closed form| leaves unused.  A horizon
@@ -674,26 +679,24 @@ class _AffineTail:
         if error is None:
             error = recurrence_error(spec, target, n)
         self.guard = 2.0 * (error + summation)
-        self.slack, self._half_coefs = math.inf, None
+        self.slack, self._word_coefs = math.inf, None
         if self.words == 1:
             return
-        halves = padded.reshape(-1, 32)[: n // 32 + 1]  # those that hold a step
-        sums = np.sum(halves, axis=1)
-        means = sums / np.minimum(n + 1 - 32.0 * np.arange(len(halves)), 32.0)
+        groups = padded.reshape(self.words, 64)
+        sums = np.sum(groups, axis=1)
+        means = sums / np.minimum(n + 1 - 64.0 * np.arange(self.words), 64.0)
         step = values[1] - values[0]
-        above = halves - means[:, None]
-        above.reshape(-1)[n + 1:] = 0.0  # the last half's padding holds no step
+        above = groups - means[:, None]
+        above.reshape(-1)[n + 1:] = 0.0  # the last word's padding holds no step
         below = np.maximum(-above, 0.0)
         np.maximum(above, 0.0, out=above)
         spread = abs(step) * float(np.sum(np.maximum(np.sum(above, axis=1), np.sum(below, axis=1))))
-        spread += sum_error(2 * (len(halves) + 33), spread)
+        spread += sum_error(2 * (self.words + 65), spread)
         self.slack = self.guard + spread + sum_error(
-            8 * self.words + 9 + 4 * len(halves) + 40, magnitude)
+            8 * self.words + 9 + 4 * self.words + 72, magnitude)
         if threshold is not None and self.slack < threshold:
             self._base = self.start + values[0] * float(np.sum(sums))
-            # the coefficients D m_h of each word's halves that hold a step, a column
-            coefs = step * means
-            self._half_coefs = [coefs[2 * j: 2 * j + 2, None] for j in range(self.words)]
+            self._word_coefs = (step * means).tolist()  # D m_j of each word
             # the steps 64 (words - 1) .. n of the last word
             self._last_bits = np.uint64((1 << (n % 64 + 1)) - 1)
 
@@ -705,7 +708,7 @@ class _AffineTail:
     def _table_sum(self, stream: BlockStream) -> np.ndarray:
         """The closed-form final deviations of the replicas of stream, in its
         dev."""
-        w, part, dev = stream.width, stream.part[0], stream.dev
+        w, part, dev = stream.width, stream.part, stream.dev
         # np.take would cast uint8 indices into a new intp array, so each
         # byte column is cast into the scratch, free until the next word
         index = stream.scratch.view(np.intp)
@@ -722,22 +725,16 @@ class _AffineTail:
 
     def _screen(self, stream: BlockStream) -> np.ndarray:
         """M of the replicas of stream, in its dev: the base plus, for each
-        32-step half of each sign word, the half's coefficient times its
-        popcount."""
-        w, part, estimate = stream.width, stream.part, stream.dev
-        counts = np.empty((2, w), dtype=np.uint8)
+        sign word, the word's coefficient times its popcount."""
+        part, estimate = stream.part, stream.dev
         estimate.fill(self._base)
-        for j, coefs in enumerate(self._half_coefs):
+        for j, coef in enumerate(self._word_coefs):
             word = stream.sign_word(j)
             if j == self.words - 1:  # into the scratch, free until the next word
                 word = np.bitwise_and(word, self._last_bits, out=stream.scratch)
-            # row g counts the steps 64j + 32g .. 64j + 32g + 31
-            halves = word.astype("<u8", copy=False).view("<u4").reshape(w, 2)
-            np.bitwise_count(halves.T, out=counts)
-            rows = len(coefs)  # the last word's second half may hold no step
-            np.multiply(counts[:rows], coefs, out=part[:rows])
-            for row in part[:rows]:
-                estimate += row
+            np.bitwise_count(word, out=part)
+            part *= coef
+            estimate += part
         return estimate
 
     def hits(self, seed: int, lo: int, hi: int, threshold: float, inclusive: bool,
@@ -750,9 +747,9 @@ class _AffineTail:
         runs on one thread.  Splitting it would not help: the table stage is
         many short numpy calls, each holding the GIL briefly, so a second
         thread mostly waits.  On rate-linear's spec (seed 808, in process,
-        40 alternations, 2 vCPUs) one chunk took 1.88 ms against 6.16 ms
-        for two halves on two threads at n = 1000 (6,287 open replicas),
-        and 4.21 against 9.39 ms at n = 4000 (928).
+        40 alternations, 2 vCPUs) one chunk took 5.09 ms against 10.3 ms
+        for two halves on two threads at n = 1000 (17,034 open replicas),
+        and 4.30 against 20.3 ms at n = 4000 (2,134).
         """
         def stage(rng: tuple[int, int]) -> tuple[int, np.ndarray]:
             """(hits decided, global indices of the replicas left open) of a
@@ -767,15 +764,18 @@ class _AffineTail:
                 decided = int(np.count_nonzero(gap > margin))
                 np.abs(gap, out=gap)
                 rows = np.flatnonzero(~(gap > margin))  # a NaN stays open
-            return decided, chunk.start + rows if isinstance(chunk, range) else chunk[rows]
+            if isinstance(chunk, range):
+                return decided, np.add(rows, chunk.start, dtype=kind, casting="unsafe")
+            return decided, chunk[rows]
 
+        kind = np.min_scalar_type(hi)  # the open indices' type, 4 bytes while hi < 2^32
         hits, open_ = 0, range(lo, hi)
-        stages = [(self._screen, self.slack)] if self._half_coefs is not None else []
+        stages = [(self._screen, self.slack)] if self._word_coefs is not None else []
         for estimate, margin in stages + [(self._table_sum, self.guard)]:
             parts = _map_blocks(stage, len(open_), workers)
             hits += sum(decided for decided, _ in parts)
-            # np.arange(0) gives concatenate an array when no chunk ran
-            open_ = np.concatenate([np.arange(0), *(rows for _, rows in parts)])
+            open_ = np.concatenate([np.empty(0, kind), *(rows for _, rows in parts)])
+            del parts  # the chunks' arrays, not kept through the next stage
         for replica in open_.tolist():
             dev = abs(_scalar_path(self.spec, self._stat, self.n, seed, replica)[0])
             hits += int(dev >= threshold if inclusive else dev > threshold)

@@ -104,10 +104,10 @@ def test_byte_swapped_sign_words_give_the_same_closed_form(monkeypatch):
         for n in NS:
             form = _AffineTail(spec, target, n)
             native = form.deviations(11, 0, 300)
-            # past one word the screen reads each word's two 32-step halves
+            # past one word the screen reads each sign word's popcount
             t = float(np.median(np.abs(native))) + (form.slack if n >= 64 else 0.0)
             screened = _AffineTail(spec, target, n, None, t)
-            assert (screened._half_coefs is not None) == (n >= 64)
+            assert (screened._word_coefs is not None) == (n >= 64)
             hits = screened.hits(11, 0, 300, t, False)
             with monkeypatch.context() as patch:
                 patch.setattr(BlockStream, "sign_word", swapped)

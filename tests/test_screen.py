@@ -1,11 +1,11 @@
-"""The closed form's screen (engine._AffineTail): two popcounts per sign
-word give an estimate M of each replica's closed-form deviation, the slack
+"""The closed form's screen (engine._AffineTail): one popcount per sign
+word gives an estimate M of each replica's closed-form deviation, the slack
 bounds how far the recurrence can lie from M, and only the replicas whose
 |M| lies within the slack of the threshold take the byte tables.
 
-M is written out here from the weights and from the halves of each sign
-word, read as word & 0xFFFFFFFF and word >> 32; the slack is pinned bitwise
-against its terms, as tests/test_rounding_guards.py pins the guard.
+M is written out here from the weights and from the popcount of each sign
+word, the last one masked past step n; the slack is pinned bitwise against
+its terms, as tests/test_rounding_guards.py pins the guard.
 """
 
 import itertools
@@ -33,36 +33,35 @@ CASES = GUARD_CASES + [(NON_INTEGER_C, "recursion"), (NON_INTEGER_C, "weighted_s
 FAR_START = ProblemSpec(LinearDrift(-0.5, 0.0), Rademacher(0.3), 0.5, 100.0)
 
 
-def halves_of(spec, target, n):
-    """(start, the padded weights of each 32-step half that holds a step)."""
+def words_of(spec, target, n):
+    """(start, the padded weights of each 64-step sign word, one row each)."""
     stat = engine._target(spec, target)
     beta0, w = recursion_weights(spec, n)
     padded = np.zeros(64 * (n // 64 + 1))
     padded[: n + 1] = w
-    return beta0 * (stat.start - stat.origin), padded.reshape(-1, 32)[: n // 32 + 1]
+    return beta0 * (stat.start - stat.origin), padded.reshape(-1, 64)
 
 
-def steps_of(n, halves):
-    """c_h, the steps k <= n of each half h, as floats."""
-    return np.array([min(32, n + 1 - 32 * h) for h in range(len(halves))], dtype=float)
+def steps_of(n, words):
+    """c_j, the steps k <= n of each word j, as floats."""
+    return np.array([min(64, n + 1 - 64 * j) for j in range(len(words))], dtype=float)
 
 
 def estimate(spec, target, n, seed, lo, hi):
-    """M = start + v0 sum_h S_h + sum_h ((v1 - v0) m_h) P_h, in the screen's
-    operation order, with S_h the sum of half h, m_h = S_h / c_h its mean
-    over its c_h steps and P_h the popcount of its bits of steps <= n."""
-    start, halves = halves_of(spec, target, n)
+    """M = start + v0 sum_j S_j + sum_j ((v1 - v0) m_j) P_j, in the screen's
+    operation order, with S_j the sum of word j, m_j = S_j / c_j its mean
+    over its c_j steps and P_j the popcount of its bits of steps <= n."""
+    start, words = words_of(spec, target, n)
     v0, v1 = spec.noise.values
-    sums = np.sum(halves, axis=1)
-    means = sums / steps_of(n, halves)
+    sums = np.sum(words, axis=1)
+    means = sums / steps_of(n, words)
     m = np.full(hi - lo, start + v0 * float(np.sum(sums)))
     stream = BlockStream(seed, range(lo, hi))
-    for h, mean in enumerate(means):
-        word = stream.sign_word(h // 2)
-        if h // 2 == n // 64:  # the last word holds steps 64 (n // 64) .. n
+    for j, mean in enumerate(means):
+        word = stream.sign_word(j)
+        if j == n // 64:  # the last word holds steps 64 (n // 64) .. n
             word = word & np.uint64(2 ** (n % 64 + 1) - 1)
-        half = word & np.uint64(0xFFFFFFFF) if h % 2 == 0 else word >> np.uint64(32)
-        m += ((v1 - v0) * mean) * np.bitwise_count(half)
+        m += ((v1 - v0) * mean) * np.bitwise_count(word)
     return m
 
 
@@ -73,18 +72,22 @@ def test_the_grid_holds_a_non_integer_c():
 @pytest.mark.parametrize("n", NS)
 def test_slack(n):
     for spec, target in CASES:
-        start, halves = halves_of(spec, target, n)
-        words = n // 64 + 1
+        start, words = words_of(spec, target, n)
+        w = len(words)
         v0, v1 = spec.noise.values
-        means = np.sum(halves, axis=1) / steps_of(n, halves)
+        means = np.sum(words, axis=1) / steps_of(n, words)
         # the spread is over the steps k <= n only
-        step = np.arange(halves.size).reshape(halves.shape) <= n
-        above = np.sum(np.where(step, np.maximum(halves - means[:, None], 0.0), 0.0), axis=1)
-        below = np.sum(np.where(step, np.maximum(means[:, None] - halves, 0.0), 0.0), axis=1)
+        step = np.arange(words.size).reshape(words.shape) <= n
+        above = np.sum(np.where(step, np.maximum(words - means[:, None], 0.0), 0.0), axis=1)
+        below = np.sum(np.where(step, np.maximum(means[:, None] - words, 0.0), 0.0), axis=1)
         spread = abs(v1 - v0) * float(np.sum(np.maximum(above, below)))
-        spread += 2 * (len(halves) + 33) * U * spread
-        magnitude = abs(start) + spec.noise.Ku * float(np.sum(np.abs(halves)))
-        terms = 8 * words + 9 + 4 * len(halves) + 40
+        # its roundings: w_k - m_j, the 63 additions of each word's sum, the
+        # w - 1 of the sum over the words, v1 - v0 and the product
+        spread += 2 * (1 + 63 + (w - 1) + 1 + 1) * U * spread
+        magnitude = abs(start) + spec.noise.Ku * float(np.sum(np.abs(words)))
+        # the table sums (as in the guard), the sums S_j, the base, the
+        # coefficients, their products with P_j and the additions of M
+        terms = (8 * w + 9) + 64 + (w + 2) + 4 + 2 + 3 * w
         form = _AffineTail(spec, target, n)
         want = form.guard + spread + terms * U * magnitude
         assert form.slack.hex() == want.hex(), (spec, target, n)
@@ -104,14 +107,14 @@ def test_every_closed_form_lies_within_the_slack_of_m(n):
 def test_a_horizon_within_one_word_builds_no_screen(n):
     for spec, target in CASES[:4]:
         form = _AffineTail(spec, target, n, None, 1.0)
-        assert form.slack == np.inf and form._half_coefs is None
+        assert form.slack == np.inf and form._word_coefs is None
 
 
 def test_a_threshold_within_the_slack_builds_no_screen():
     for spec, target in CASES[:4]:
         slack = _AffineTail(spec, target, 1000).slack
-        assert _AffineTail(spec, target, 1000, None, slack)._half_coefs is None
-        assert _AffineTail(spec, target, 1000, None, 2.0 * slack)._half_coefs is not None
+        assert _AffineTail(spec, target, 1000, None, slack)._word_coefs is None
+        assert _AffineTail(spec, target, 1000, None, 2.0 * slack)._word_coefs is not None
 
 
 def thresholds(spec, target, n, form):
@@ -150,7 +153,7 @@ def test_hits_equal_the_single_pass():
                 got = form.hits(SEED, 0, REPLICAS, t, inclusive)
                 want = closed_form_hits(plain, target, SEED, 0, REPLICAS, t, inclusive)
                 assert got == want, (spec, target, n, t, inclusive)
-                if form._half_coefs is not None:
+                if form._word_coefs is not None:
                     kind = ("empty" if opened == 0 else
                             "total" if opened == REPLICAS else "small")
                     seen.add((kind, inclusive, got > 0))
@@ -164,13 +167,29 @@ def test_a_tie_counts_under_inclusive_only():
     top = int(np.argmax(np.abs(estimate(spec, target, n, SEED, 0, REPLICAS))))
     t = abs(final_deviation(spec, target, n, SEED, top))
     form = _AffineTail(spec, target, n, None, t)
-    assert form._half_coefs is not None
+    assert form._word_coefs is not None
     assert form.hits(SEED, 0, REPLICAS, t, True) == form.hits(SEED, 0, REPLICAS, t, False) + 1
+
+
+def test_open_indices_past_2_to_the_32_keep_their_replicas():
+    # the stages hand on open indices in the smallest type that holds hi,
+    # here uint64: a replica past 2^32, the tie, must reach the tables and
+    # the scalar reference at its own index
+    spec, target, n = NON_INTEGER_C, "recursion", 1000
+    lo, hi = 2**32 - 200, 2**32 + 200
+    plain = _AffineTail(spec, target, n)
+    top = 2**32 + int(np.argmax(np.abs(plain.deviations(SEED, 2**32, hi))))
+    t = abs(final_deviation(spec, target, n, SEED, top))
+    form = _AffineTail(spec, target, n, None, t)
+    assert form._word_coefs is not None
+    got = [form.hits(SEED, lo, hi, t, inclusive) for inclusive in (False, True)]
+    assert got == [closed_form_hits(plain, target, SEED, lo, hi, t, inclusive) for inclusive in (False, True)]
+    assert got[1] == got[0] + 1
 
 
 @pytest.mark.parametrize("n", (1000, 4000, 10000))
 def test_bits_past_the_horizon_do_not_move_the_screen(n, monkeypatch):
-    # the last half that holds a step holds 9, 1 and 17 of them
+    # the last word holds 41, 33 and 17 steps
     sign_word = BlockStream.sign_word
     past = ~np.uint64(2 ** (n % 64 + 1) - 1)  # the bits of steps past n
 
@@ -198,9 +217,10 @@ def test_the_settle_pass_spans_blocks(monkeypatch):
     blocks = [(lo, min(lo + engine.BLOCK, replicas)) for lo in range(0, replicas, engine.BLOCK)]
     plain = _AffineTail(spec, target, n)
     second = np.abs(plain.deviations(seed, *blocks[1]))
-    tie = blocks[1][0] + int(np.argsort(second)[len(second) // 2])
+    tie = blocks[1][0] + int(np.argsort(second)[3 * len(second) // 4])
     # most |M| lie within the slack of 1.25 slack; the tie is a replica of
-    # the second block, open since |recurrence - M| <= slack
+    # the second block at its upper quartile, above the slack, and open
+    # since |recurrence - M| <= slack
     wide, tied = 1.25 * plain.slack, abs(final_deviation(spec, target, n, seed, tie))
     table_sum, chunks = _AffineTail._table_sum, []
 
@@ -210,7 +230,7 @@ def test_the_settle_pass_spans_blocks(monkeypatch):
 
     monkeypatch.setattr(_AffineTail, "_table_sum", spy)
     for t in (wide, tied):
-        assert _AffineTail(spec, target, n, None, t)._half_coefs is not None
+        assert _AffineTail(spec, target, n, None, t)._word_coefs is not None
         want = [sum(closed_form_hits(plain, target, seed, lo, hi, t, inclusive) for lo, hi in blocks)
                 for inclusive in (False, True)]
         for workers, inclusive in itertools.product((1, 2, 3), (False, True)):
@@ -227,11 +247,12 @@ def test_the_settle_pass_spans_blocks(monkeypatch):
 
 
 def tie_of_the_second_block(spec, target, n, seed, replicas):
-    """A threshold that a replica of the second block attains: the
-    recurrence's |deviation| of the one with the median closed form."""
+    """A threshold that a replica of the second block attains, above the
+    slack: the recurrence's |deviation| of the one at the upper quartile of
+    the closed form."""
     lo, hi = engine.BLOCK, min(2 * engine.BLOCK, replicas)
     second = np.abs(_AffineTail(spec, target, n).deviations(seed, lo, hi))
-    return abs(final_deviation(spec, target, n, seed, lo + int(np.argsort(second)[len(second) // 2])))
+    return abs(final_deviation(spec, target, n, seed, lo + int(np.argsort(second)[3 * len(second) // 4])))
 
 
 # (spec, target, n, seed, replicas, threshold): the n = 1 tie of
@@ -256,7 +277,7 @@ def test_the_scalar_reference_recomputes_the_replicas_within_the_guard(case, mon
     spec, target, n, seed, replicas, threshold = HAND_OFFS[case]
     t = threshold()
     plain = _AffineTail(spec, target, n)
-    assert (_AffineTail(spec, target, n, None, t)._half_coefs is None) == (case == "one_word")
+    assert (_AffineTail(spec, target, n, None, t)._word_coefs is None) == (case == "one_word")
     near = []
     for lo in range(0, replicas, engine.BLOCK):
         mags = np.abs(plain.deviations(seed, lo, min(lo + engine.BLOCK, replicas)))

@@ -56,7 +56,7 @@ def pooled_buffers():
 def test_the_counts_take_each_path():
     linear = _AffineTail(LINEAR, "recursion", 1000, None, COUNTS[0][3])
     single = _AffineTail(ORACLE, "weighted_sum", 20, None, COUNTS[1][3])
-    assert linear._half_coefs is not None and single._half_coefs is None
+    assert linear._word_coefs is not None and single._word_coefs is None
     assert not STEPPED.noise.fair_signs
 
 
